@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/nn"
 	"repro/internal/obs"
 )
 
@@ -26,12 +25,8 @@ func main() {
 	workers := flag.Int("workers", 0, "worker goroutines for corpus building, training and evaluation (0 = one per CPU); results are identical for every value")
 	rankBatch := flag.Int("rank-batch", 0, "pack up to this many lineage facts per batched encoder pass when ranking (0 or 1 = per-fact); results are identical for every value")
 	trainBatch := flag.Int("train-batch", 0, "pack up to this many samples per batched encoder training pass (0 = replica per sample); results are identical for every value")
-	precision := flag.String("precision", "f64", "arithmetic tier for evaluation-time ranking: f64 (reference), f32, or int8 (per-channel quantized weights); training always runs f64")
 	o := obs.AddFlags(flag.CommandLine)
 	flag.Parse()
-	if _, err := nn.ParsePrecision(*precision); err != nil {
-		log.Fatal(err)
-	}
 
 	cfg := experiments.FullConfig()
 	if *benchScale {
@@ -44,7 +39,6 @@ func main() {
 	}
 	cfg.RankBatch = *rankBatch
 	cfg.TrainBatch = *trainBatch
-	cfg.Precision = *precision
 	// Start observability before NewSuite: hot-path metric handles resolve
 	// against the registry installed here.
 	rn := o.Start("experiments")
@@ -54,7 +48,6 @@ func main() {
 	rn.SetConfig("workers", cfg.Workers)
 	rn.SetConfig("rank_batch", cfg.RankBatch)
 	rn.SetConfig("train_batch", cfg.TrainBatch)
-	rn.SetConfig("precision", cfg.Precision)
 	rn.SetConfig("queries_per_db", cfg.QueriesPerDB)
 	rn.SetConfig("scale", cfg.Scale.Base)
 

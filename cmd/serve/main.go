@@ -34,7 +34,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -64,7 +63,6 @@ func main() {
 	queueCap := flag.Int("queue-cap", 256, "admission queue bound; overflow answers 429 + Retry-After")
 	rankBatch := flag.Int("rank-batch", 8, "pack up to this many lineage facts per batched encoder pass (0 or 1 = per-fact)")
 	packRequests := flag.Bool("pack-requests", true, "score each coalesced batch slice through one cross-request packed pass (core.RankMany); false = request-granular dispatch")
-	precision := flag.String("precision", "f64", "serving tier: f64 (reference), f32, or int8")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on shutdown")
 	adminToken := flag.String("admin-token", "", "bearer token required on /admin/* endpoints (empty = open)")
 	tlsCert := flag.String("tls-cert", "", "PEM certificate path; with -tls-key, serve HTTPS instead of HTTP")
@@ -88,9 +86,6 @@ func main() {
 
 	o := obs.AddFlags(flag.CommandLine)
 	flag.Parse()
-	if _, err := nn.ParsePrecision(*precision); err != nil {
-		log.Fatal(err)
-	}
 
 	rn := o.Start("serve")
 	defer finish(rn)
@@ -105,7 +100,6 @@ func main() {
 	rn.SetConfig("queue_cap", *queueCap)
 	rn.SetConfig("rank_batch", *rankBatch)
 	rn.SetConfig("pack_requests", *packRequests)
-	rn.SetConfig("precision", *precision)
 	rn.SetConfig("slow_ms", *slowMS)
 	rn.SetConfig("trace_ring", *traceRing)
 	rn.SetConfig("drift_window", *driftWindow)
@@ -139,7 +133,6 @@ func main() {
 		QueueCap:     *queueCap,
 		RankBatch:    *rankBatch,
 		PackRequests: *packRequests,
-		Precision:    *precision,
 		AdminToken:   *adminToken,
 		TLSCert:      *tlsCert,
 		TLSKey:       *tlsKey,
@@ -165,8 +158,8 @@ func main() {
 	if err := srv.Start(); err != nil {
 		log.Fatal(err)
 	}
-	rn.Log.Infof("Serving on %s (max-batch %d, window %v, %d workers, %s, queue %d)\n",
-		srv.URL(), *maxBatch, *batchWindow, scfg.Workers, *precision, *queueCap)
+	rn.Log.Infof("Serving on %s (max-batch %d, window %v, %d workers, queue %d)\n",
+		srv.URL(), *maxBatch, *batchWindow, scfg.Workers, *queueCap)
 
 	switch {
 	case *selftest > 0:

@@ -125,8 +125,8 @@ func TestEligibilityExactBudgetEdges(t *testing.T) {
 // per-fact and batched paths under separate live registries and asserts the
 // prefix hit/fallback counters agree exactly: both paths classify every fact
 // through the same eligibility rule. It also pins the batched-pass metrics:
-// every fast-path fact flows through a packed pass, so nn.batch.sequences
-// equals the hit count.
+// every fast-path fact flows through a multi-prefix packed pass, so
+// nn.mbatch.sequences equals the hit count.
 func TestRankOnBatchedCounterAgreement(t *testing.T) {
 	c, _ := tinyCorpus(t)
 	cfg := tinyConfig()
@@ -138,7 +138,7 @@ func TestRankOnBatchedCounterAgreement(t *testing.T) {
 		run := obs.NewRun("batch-counter-test", obs.NewRegistry(), nil, nil)
 		obs.Install(run)
 		defer obs.Uninstall()
-		// Built under the live registry so the encoder's nn.batch.* handles
+		// Built under the live registry so the encoder's nn.mbatch.* handles
 		// are resolved against it.
 		cfg.RankBatch = rankBatch
 		m := newModel(cfg, tok, rand.New(rand.NewSource(cfg.Seed)))
@@ -164,13 +164,13 @@ func TestRankOnBatchedCounterAgreement(t *testing.T) {
 		t.Fatalf("fixture must exercise both paths: hits=%d fallbacks=%d",
 			hits, perFact.Counters["core.rank.prefix_fallbacks"])
 	}
-	if perFact.Counters["nn.batch.passes"] != 0 {
+	if perFact.Counters["nn.mbatch.passes"] != 0 {
 		t.Error("per-fact path must not take batched passes")
 	}
-	if got := batched.Counters["nn.batch.sequences"]; got != hits {
-		t.Errorf("nn.batch.sequences = %d, want every fast-path fact (%d)", got, hits)
+	if got := batched.Counters["nn.mbatch.sequences"]; got != hits {
+		t.Errorf("nn.mbatch.sequences = %d, want every fast-path fact (%d)", got, hits)
 	}
-	if batched.Counters["nn.batch.passes"] == 0 {
+	if batched.Counters["nn.mbatch.passes"] == 0 {
 		t.Error("batched path recorded no packed passes")
 	}
 }

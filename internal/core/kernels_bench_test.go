@@ -125,40 +125,3 @@ func BenchmarkRankManyBatched(b *testing.B) {
 		benchRank.m.RankManyOn(benchRank.c.DB, benchRank.ins)
 	}
 }
-
-// benchRankPrecision ranks every case through RankOn on the given precision
-// tier (batched when RankBatch > 1). The engine is built before the timer so
-// the loop measures steady-state scoring, like a warmed serving process.
-func benchRankPrecision(b *testing.B, precision string, rankBatch int) {
-	benchRankSetup(b)
-	m := benchRank.m
-	m.Cfg.Precision = precision
-	m.Cfg.RankBatch = rankBatch
-	defer func() {
-		m.Cfg.Precision = ""
-		m.Cfg.RankBatch = 0
-	}()
-	for _, in := range benchRank.ins[:1] {
-		m.RankOn(benchRank.c.DB, in) // build the engine + warm arenas
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, in := range benchRank.ins {
-			m.RankOn(benchRank.c.DB, in)
-		}
-	}
-}
-
-// BenchmarkRankLineageF32 ranks the same cases as BenchmarkRankLineagePrefix
-// through the float32 inference engine. Compare for the precision-tier win;
-// ranking parity with f64 is gated by TestPrecisionParityGolden.
-func BenchmarkRankLineageF32(b *testing.B) { benchRankPrecision(b, "f32", 0) }
-
-// BenchmarkRankLineageInt8 ranks through the int8 weight-quantized engine —
-// the smallest-footprint tier (int8 weights, f32 activations).
-func BenchmarkRankLineageInt8(b *testing.B) { benchRankPrecision(b, "int8", 0) }
-
-// BenchmarkRankLineageF32Batched adds RankBatch-8 packing on the f32 tier,
-// the layout BENCH_precision.json sweeps against the f64 batched path.
-func BenchmarkRankLineageF32Batched(b *testing.B) { benchRankPrecision(b, "f32", 8) }

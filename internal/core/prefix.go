@@ -65,13 +65,11 @@ func newLineageScorer(m *Model, in Input) *lineageScorer {
 	return s
 }
 
-// prefixTokens assembles the [CLS] q [SEP] t [SEP] token IDs and segments the
-// lineage shares across facts. Both the f64 prefix cache (buildPrefix) and the
-// low-precision one (precision.go) embed exactly this sequence.
-func (s *lineageScorer) prefixTokens() (tokens, segs []int) {
+// buildPrefix encodes [CLS] q [SEP] t [SEP] through the embedding layer once.
+func (s *lineageScorer) buildPrefix() {
 	n := 1 + s.qLen + 1 + s.tLen + 1
-	tokens = make([]int, 0, n)
-	segs = make([]int, 0, n)
+	tokens := make([]int, 0, n)
+	segs := make([]int, 0, n)
 	push := func(id, seg int) {
 		tokens = append(tokens, id)
 		segs = append(segs, seg)
@@ -85,12 +83,6 @@ func (s *lineageScorer) prefixTokens() (tokens, segs []int) {
 		push(id, 1)
 	}
 	push(tokenizer.SepID, 1)
-	return tokens, segs
-}
-
-// buildPrefix encodes [CLS] q [SEP] t [SEP] through the embedding layer once.
-func (s *lineageScorer) buildPrefix() {
-	tokens, segs := s.prefixTokens()
 	s.pc = s.m.enc.EmbedPrefix(tokens, segs)
 	s.prefixLen = len(tokens)
 }
@@ -123,14 +115,7 @@ func (s *lineageScorer) score(fToks []string) float64 {
 	if s.pc == nil {
 		s.buildPrefix()
 	}
-	s.suf = s.suf[:0]
-	s.sufSeg = s.sufSeg[:0]
-	for _, id := range s.m.tok.Encode(fToks[:fLen]) {
-		s.suf = append(s.suf, id)
-		s.sufSeg = append(s.sufSeg, 2)
-	}
-	s.suf = append(s.suf, tokenizer.SepID)
-	s.sufSeg = append(s.sufSeg, 2)
+	s.suf, s.sufSeg = appendFactSuffix(s.suf[:0], s.sufSeg[:0], s.m.tok, fToks, fLen)
 	seq := s.prefixLen + fLen + 1
 	if cap(s.mask) < seq {
 		s.mask = make([]bool, seq)
@@ -141,6 +126,18 @@ func (s *lineageScorer) score(fToks []string) float64 {
 	s.mask = s.mask[:seq]
 	hidden := s.m.enc.ForwardWithPrefix(s.pc, s.suf, s.sufSeg, s.mask)
 	return s.m.shapHead.Forward(hidden) / s.m.Cfg.TargetScale
+}
+
+// appendFactSuffix encodes a (possibly trimmed) fact token sequence plus the
+// trailing [SEP] as segment-2 suffix ids, appending into the given buffers.
+func appendFactSuffix(suf, seg []int, tok *tokenizer.Tokenizer, fToks []string, fLen int) ([]int, []int) {
+	for _, id := range tok.Encode(fToks[:fLen]) {
+		suf = append(suf, id)
+		seg = append(seg, 2)
+	}
+	suf = append(suf, tokenizer.SepID)
+	seg = append(seg, 2)
+	return suf, seg
 }
 
 // rankOn is the prefix-reuse implementation behind Model.RankOn.

@@ -78,37 +78,11 @@ func TestRankManyTruncatedGolden(t *testing.T) {
 	}
 }
 
-// TestRankManyLowPrec runs the golden comparison through the f32 and int8
-// engines: cross-request packing on a reduced tier must stay bit-identical to
-// that tier's own per-request RankOn for every chunk size.
-func TestRankManyLowPrec(t *testing.T) {
-	c, _ := tinyCorpus(t)
-	cfg := tinyConfig()
-	tok := buildVocabulary(c, cfg)
-	ins := caseInputs(c)
-	for _, prec := range []string{"f32", "int8"} {
-		cfg.Precision = prec
-		cfg.RankBatch = 0
-		m := newModel(cfg, tok, rand.New(rand.NewSource(cfg.Seed)))
-		want := make([]shapley.Values, len(ins))
-		for i, in := range ins {
-			want[i] = m.RankOn(c.DB, in)
-		}
-		for _, batch := range []int{2, 3, 8, 64} {
-			m.Cfg.RankBatch = batch
-			got := m.RankManyOn(c.DB, ins)
-			for i := range ins {
-				assertValuesBitEqual(t, prec+"/rankmany", got[i], want[i])
-			}
-		}
-	}
-}
-
 // TestRankManyCounterAgreement asserts RankMany classifies every fact through
 // the same eligibility rule as per-request ranking (identical core.rank.*
 // counters) and pins the cross-request pass metrics: every fast-path fact
 // flows through a multi-prefix pass, so nn.mbatch.sequences equals the hit
-// count, and the single-lineage nn.batch.* counters stay untouched.
+// count, and the packed-training nn.batch.* counters stay untouched.
 func TestRankManyCounterAgreement(t *testing.T) {
 	c, _ := tinyCorpus(t)
 	cfg := tinyConfig()
@@ -158,6 +132,6 @@ func TestRankManyCounterAgreement(t *testing.T) {
 		t.Error("every multi-prefix pass spans at least one lineage group")
 	}
 	if many.Counters["nn.batch.passes"] != 0 {
-		t.Error("RankMany must route packing through the multi-prefix kernel, not the single-prefix one")
+		t.Error("RankMany must route packing through the multi-prefix kernel, not BatchedForward")
 	}
 }

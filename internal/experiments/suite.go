@@ -46,11 +46,6 @@ type Config struct {
 	// core.ModelConfig). Trained weights are bit-identical for every value.
 	// NewSuite copies it into the model configs.
 	TrainBatch int
-	// Precision selects the inference tier evaluation-time ranking runs on
-	// ("", "f64", "f32" or "int8" — see core.ModelConfig). Training always
-	// runs f64; only the evaluation rankings change, within the NDCG/Spearman
-	// parity gate. NewSuite copies it into the model configs.
-	Precision string
 }
 
 // BenchConfig is the scale used by `go test -bench`: minutes of CPU, every
@@ -124,8 +119,6 @@ func NewSuite(cfg Config) (*Suite, error) {
 	cfg.Large.RankBatch = cfg.RankBatch
 	cfg.Base.TrainBatch = cfg.TrainBatch
 	cfg.Large.TrainBatch = cfg.TrainBatch
-	cfg.Base.Precision = cfg.Precision
-	cfg.Large.Precision = cfg.Precision
 	s := &Suite{Cfg: cfg, models: make(map[string]*core.Model), reports: make(map[string]*core.TrainReport)}
 	for _, kind := range []dataset.Kind{dataset.IMDB, dataset.Academic} {
 		dc := dataset.DefaultConfig(kind)

@@ -21,7 +21,8 @@ import "math"
 //     packed Q/K/V, with each sequence's own mask.
 //
 // Like ForwardWithPrefix, the batched passes are inference-only: they poison
-// the encoder's Backward caches.
+// the encoder's Backward caches. BatchedForwardMultiPrefix (multiprefix.go)
+// is the prefix-sharing variant the rankers use.
 
 // BatchedForward encodes B sequences in one packed pass. tokens, segments
 // and masks hold one per-sequence slice each (equal lengths per sequence,
@@ -54,61 +55,6 @@ func (e *Encoder) BatchedForward(tokens, segments [][]int, masks [][]bool) (*Mat
 		e.embedRowsAt(x, e.batchOffs[b], tokens[b], segments[b], 0)
 	}
 	x = e.embLN.Forward(e.ws, x)
-	return e.encodeBatch(x, masks), e.batchOffs
-}
-
-// BatchedForwardWithPrefix encodes B sequences that share the embedded
-// prefix pc: sequence b is prefix + sufTokens[b], with the suffix occupying
-// absolute positions from pc.Len() and masks[b] covering the full sequence.
-// The cached prefix rows are copied into every sequence's window of the
-// packed matrix and only the suffixes are embedded (packed themselves, so
-// the embedding LayerNorm also runs once). Returns the packed hidden states
-// and per-sequence row offsets as BatchedForward does; hidden states are
-// bit-identical to B independent ForwardWithPrefix calls.
-func (e *Encoder) BatchedForwardWithPrefix(pc *PrefixCache, sufTokens, sufSegments [][]int, masks [][]bool) (*Mat, []int) {
-	p := pc.Len()
-	d := e.Cfg.Dim
-	total, sufTotal := 0, 0
-	e.batchOffs, e.batchLens = e.batchOffs[:0], e.batchLens[:0]
-	for b := range sufTokens {
-		seq := p + len(sufTokens[b])
-		if seq > e.Cfg.MaxSeqLen {
-			panic("nn: sequence exceeds MaxSeqLen")
-		}
-		e.batchOffs = append(e.batchOffs, total)
-		e.batchLens = append(e.batchLens, seq)
-		total += seq
-		sufTotal += len(sufTokens[b])
-	}
-	if total == 0 {
-		panic("nn: empty batch")
-	}
-	e.recordBatch(len(sufTokens), sufTotal) // prefix rows are reused, not re-encoded
-	e.ws.Reset()
-	e.tokens, e.segments = nil, nil // poison Backward: inference only
-	e.batchTrain = false            // and BatchedBackward: the sublayer caches are not populated
-	x := e.ws.Get(total, d)
-	if sufTotal > 0 {
-		// Embed every suffix into one packed matrix and LayerNorm it in one
-		// pass; both are row-local, so each suffix row matches what the
-		// per-sequence path computes for it.
-		sufX := e.ws.Get(sufTotal, d)
-		off := 0
-		for b := range sufTokens {
-			e.embedRowsAt(sufX, off, sufTokens[b], sufSegments[b], p)
-			off += len(sufTokens[b])
-		}
-		sufN := e.embLN.Forward(e.ws, sufX)
-		off = 0
-		for b := range sufTokens {
-			n := len(sufTokens[b])
-			copy(x.Data[(e.batchOffs[b]+p)*d:(e.batchOffs[b]+p+n)*d], sufN.Data[off*d:(off+n)*d])
-			off += n
-		}
-	}
-	for b := range sufTokens {
-		copy(x.Data[e.batchOffs[b]*d:(e.batchOffs[b]+p)*d], pc.X.Data)
-	}
 	return e.encodeBatch(x, masks), e.batchOffs
 }
 

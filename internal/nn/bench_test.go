@@ -211,24 +211,3 @@ func BenchmarkTMatMulBlocked(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkEncoder32Forward measures one low-precision inference pass
-// (forward + head) per tier, against the f64 BenchmarkEncoderForward
-// baseline. Warmed; allocs/op must stay 0.
-func BenchmarkEncoder32Forward(b *testing.B) {
-	enc, head, tokens, segments, mask := benchSetup()
-	for _, prec := range []Precision{PrecisionF32, PrecisionInt8} {
-		e32 := NewEncoder32(enc, prec)
-		h32 := NewHead32(head, prec)
-		for i := 0; i < 2; i++ {
-			h32.Forward(e32.Forward(tokens, segments, mask))
-		}
-		b.Run(prec.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				h := e32.Forward(tokens, segments, mask)
-				h32.Forward(h)
-			}
-		})
-	}
-}

@@ -1,7 +1,7 @@
 package nn
 
-// Blocked kernel tier (tier A of the kernel stack, see DESIGN.md "Kernel
-// tiers & precision"): register-blocked, cache-tiled variants of the three
+// Blocked kernels (see DESIGN.md "Kernels"): register-blocked, cache-tiled
+// variants of the three
 // GEMM kernels. The warmed encoder step is 0 allocs/op, so the remaining
 // inference cost is pure arithmetic and memory traffic — these kernels attack
 // exactly that, while staying **bit-identical** to the reference kernels in

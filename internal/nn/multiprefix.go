@@ -1,11 +1,10 @@
 package nn
 
-// Cross-request packing: BatchedForwardWithPrefix fuses the facts of ONE
-// lineage into one packed pass; this file lifts the same trick across
-// lineages. BatchedForwardMultiPrefix packs suffix sequences that belong to
-// DIFFERENT prefix caches into a single [ΣT×Dim] matrix, so the Q/K/V/FFN
-// projections of a whole coalesced request batch run as one set of large
-// GEMMs on the blocked kernel tier, while attention stays per-sequence on
+// Prefix-sharing packing: BatchedForwardMultiPrefix packs suffix sequences,
+// each appended to its own embedded prefix cache, into a single [ΣT×Dim]
+// matrix, so the Q/K/V/FFN projections of one lineage's facts — or of a whole
+// coalesced request batch spanning several lineages — run as one set of large
+// GEMMs on the blocked kernel, while attention stays per-sequence on
 // Workspace.View row windows with each sequence's own prefix rows and mask.
 //
 // The bit-identity argument is the same structural one as batched.go — and it
@@ -22,8 +21,8 @@ package nn
 // calls — packing changes scheduling, never arithmetic.
 
 // BatchedForwardMultiPrefix encodes B sequences where sequence b is
-// pcs[b] + sufTokens[b]. Unlike BatchedForwardWithPrefix the caches may
-// differ per sequence (repeats are fine and copy the same rows twice);
+// pcs[b] + sufTokens[b]. The caches may differ per sequence or all be the
+// same one (repeats are fine and copy the same rows again);
 // masks[b] covers sequence b's full prefix+suffix length. Returns the packed
 // hidden states [ΣT×Dim] and per-sequence row offsets exactly like
 // BatchedForward; both are encoder scratch, valid until the next forward
@@ -90,56 +89,4 @@ func (e *Encoder) recordMultiBatch(seqs, tokens, prefixes int) {
 	e.mMBatchSeqs.Add(int64(seqs))
 	e.mMBatchPrefixes.Add(int64(prefixes))
 	e.hMBatchSize.Observe(float64(seqs))
-}
-
-// BatchedForwardMultiPrefix is the low-precision mirror: pack suffixes from
-// different PrefixCache32s into one packed pass through the f32/int8 engine.
-// Same structural bit-identity argument as the f64 kernel, tier-internal:
-// identical to B independent Encoder32.ForwardWithPrefix calls.
-func (e *Encoder32) BatchedForwardMultiPrefix(pcs []*PrefixCache32, sufTokens, sufSegments [][]int, masks [][]bool) (*Mat32, []int) {
-	d := e.Cfg.Dim
-	total, sufTotal := 0, 0
-	e.batchOffs, e.batchLens = e.batchOffs[:0], e.batchLens[:0]
-	for b := range sufTokens {
-		seq := pcs[b].Len() + len(sufTokens[b])
-		if seq > e.Cfg.MaxSeqLen {
-			panic("nn: sequence exceeds MaxSeqLen")
-		}
-		e.batchOffs = append(e.batchOffs, total)
-		e.batchLens = append(e.batchLens, seq)
-		total += seq
-		sufTotal += len(sufTokens[b])
-	}
-	if total == 0 {
-		panic("nn: empty batch")
-	}
-	e.ws.reset()
-	x := e.ws.get(total, d)
-	if sufTotal > 0 {
-		sufX := e.ws.get(sufTotal, d)
-		off := 0
-		for b := range sufTokens {
-			e.embedRowsAt(sufX, off, sufTokens[b], sufSegments[b], pcs[b].Len())
-			off += len(sufTokens[b])
-		}
-		sufN := e.embLN.forward(e.ws, sufX)
-		off = 0
-		for b := range sufTokens {
-			p, n := pcs[b].Len(), len(sufTokens[b])
-			copy(x.Data[(e.batchOffs[b]+p)*d:(e.batchOffs[b]+p+n)*d], sufN.Data[off*d:(off+n)*d])
-			off += n
-		}
-	}
-	for b := range sufTokens {
-		copy(x.Data[e.batchOffs[b]*d:e.batchOffs[b]*d+len(pcs[b].X.Data)], pcs[b].X.Data)
-	}
-	for _, l := range e.layers {
-		h := l.attn.batchedForward(e.ws, x, e.batchOffs, e.batchLens, masks)
-		h.addInPlace(x)
-		x = l.ln1.forward(e.ws, h)
-		f := l.ffn.l2.forward(e.ws, gelu32(e.ws, l.ffn.l1.forward(e.ws, x)))
-		f.addInPlace(x)
-		x = l.ln2.forward(e.ws, f)
-	}
-	return x, e.batchOffs
 }

@@ -16,16 +16,15 @@
 // replicas (core.Model.CloneForWorker: shared read-only weights, private
 // activation workspaces), and each lineage is scored through Model.RankOn —
 // the shared-prefix packed path, so with Config.RankBatch > 1 every lineage's
-// facts run as a few large nn.BatchedForwardWithPrefix GEMM passes on a
-// warmed, zero-allocation workspace. Config.Precision selects the serving
-// tier (f64 reference, f32, or int8) exactly as in offline evaluation.
+// facts run as a few large nn.BatchedForwardMultiPrefix GEMM passes on a
+// warmed, zero-allocation workspace.
 //
 // Determinism: replicas produce bit-identical scores to their parent
 // (core.ConcurrentRanker contract), and batching only changes which replica
 // scores which request, never the per-request computation. Coalesced
 // cross-request scores are therefore bit-identical to sequential per-request
-// core.RankOn for every batch window, batch size, worker count and precision
-// tier — enforced by TestServeParitySequential.
+// core.RankOn for every batch window, batch size and worker count — enforced
+// by TestServeParitySequential.
 //
 // Overload behaves like a production service, not like a benchmark harness:
 // when the queue is full, requests are rejected immediately with 429 and a
@@ -74,10 +73,9 @@ type Config struct {
 	// QueueCap bounds the admission queue; requests beyond it are rejected
 	// with 429 + Retry-After.
 	QueueCap int
-	// RankBatch and Precision configure the per-request scoring path exactly
-	// as the offline -rank-batch / -precision flags do.
+	// RankBatch configures the per-request scoring path exactly as the
+	// offline -rank-batch flag does.
 	RankBatch int
-	Precision string
 	// PackRequests routes coalesced batches through core.RankMany: each
 	// replica scores a contiguous slice of the batch in cross-request packed
 	// passes (facts of different lineages share nn.BatchedForwardMultiPrefix
@@ -125,7 +123,6 @@ func DefaultConfig() Config {
 		BatchWindow:  2 * time.Millisecond,
 		QueueCap:     256,
 		RankBatch:    8,
-		Precision:    "f64",
 		PackRequests: true,
 		TraceRing:    256,
 		DriftWindow:  256,
@@ -195,9 +192,6 @@ func New(cfg Config, corpus *dataset.Corpus, model *core.Model) *Server {
 	if cfg.QueueCap < 1 {
 		cfg.QueueCap = 1
 	}
-	if cfg.Precision == "" {
-		cfg.Precision = "f64"
-	}
 	if cfg.TraceRing <= 0 {
 		cfg.TraceRing = 256
 	}
@@ -234,13 +228,12 @@ func New(cfg Config, corpus *dataset.Corpus, model *core.Model) *Server {
 	return s
 }
 
-// install points the server at a model, stamping the serving tier and packed
-// path onto its config so replicas inherit them, and captures the drift
+// install points the server at a model, stamping the packed path onto its
+// config so replicas inherit it, and captures the drift
 // reference from the new model BEFORE it becomes visible to dispatchers — the
 // probe replica is private, so reference capture never races live scoring.
 func (s *Server) install(model *core.Model, version string) {
 	model.Cfg.RankBatch = s.cfg.RankBatch
-	model.Cfg.Precision = s.cfg.Precision
 	s.captureDriftReference(model)
 	s.st.Store(&modelState{model: model, version: version, loaded: time.Now()})
 	s.gen.Add(1)

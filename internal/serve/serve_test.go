@@ -132,7 +132,7 @@ func TestServeParitySequential(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			s := startServer(t, Config{
 				Workers: tc.workers, MaxBatch: tc.maxBatch, BatchWindow: tc.window,
-				QueueCap: 64, RankBatch: tc.rankBatch, Precision: "f64", PackRequests: tc.pack,
+				QueueCap: 64, RankBatch: tc.rankBatch, PackRequests: tc.pack,
 			})
 			cases, err := selfTestCases(s, 6)
 			if err != nil {
@@ -191,7 +191,7 @@ func TestServeDrainOnShutdown(t *testing.T) {
 	corpus := fixCorpus
 	s := New(Config{
 		Addr: "127.0.0.1:0", Workers: 2, MaxBatch: 4, BatchWindow: time.Millisecond,
-		QueueCap: 64, RankBatch: 8, Precision: "f64",
+		QueueCap: 64, RankBatch: 8,
 	}, corpus, model)
 	if err := s.Start(); err != nil {
 		t.Fatal(err)
@@ -248,7 +248,7 @@ func TestServeHotSwap(t *testing.T) {
 	corpus, _ := fixture(t)
 	s := startServer(t, Config{
 		Workers: 2, MaxBatch: 4, BatchWindow: time.Millisecond,
-		QueueCap: 64, RankBatch: 8, Precision: "f64",
+		QueueCap: 64, RankBatch: 8,
 	})
 	cases, err := selfTestCases(s, 2)
 	if err != nil {
@@ -288,8 +288,8 @@ func TestServeHotSwap(t *testing.T) {
 		t.Fatalf("reload -> %s", resp.Status)
 	}
 
-	// The swapped-in state carries the serving tier, so the reference replica
-	// must be cloned from it, not from m2 (whose Cfg lacks the stamp).
+	// The swapped-in state carries the serving RankBatch, so the reference
+	// replica must be cloned from it, not from m2 (whose Cfg lacks the stamp).
 	newWant := sequentialReference(t, s.state().model, cases)
 	client := &http.Client{}
 	defer client.CloseIdleConnections()
@@ -314,6 +314,72 @@ func TestServeHotSwap(t *testing.T) {
 	}
 }
 
+// TestServeBodyLimit posts a body one byte over maxBodyBytes to every endpoint
+// that decodes JSON and expects 413, while well-formed /rank requests run
+// concurrently on the same server and must still return their bitwise
+// sequential reference scores.
+func TestServeBodyLimit(t *testing.T) {
+	_, model := fixture(t)
+	s := startServer(t, Config{
+		Workers: 2, MaxBatch: 4, BatchWindow: time.Millisecond,
+		QueueCap: 64, RankBatch: 8, PackRequests: true,
+	})
+	cases, err := selfTestCases(s, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sequentialReference(t, model, cases)
+	huge := append([]byte(`{"sql":"`), bytes.Repeat([]byte("x"), maxBodyBytes)...)
+	huge = append(huge, `"}`...)
+
+	client := &http.Client{}
+	defer client.CloseIdleConnections()
+	paths := []string{"/rank", "/explain", "/similar", "/admin/reload"}
+	errs := make([]error, len(paths)+len(cases))
+	var wg sync.WaitGroup
+	wg.Add(len(errs))
+	for i, path := range paths {
+		go func(i int, path string) {
+			defer wg.Done()
+			resp, err := client.Post(s.URL()+path, "application/json", bytes.NewReader(huge))
+			if err != nil {
+				errs[i] = fmt.Errorf("%s: %v", path, err)
+				return
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				errs[i] = fmt.Errorf("%s with a %d-byte body -> %d, want 413", path, len(huge), resp.StatusCode)
+			}
+		}(i, path)
+	}
+	for c := range cases {
+		go func(i, c int) {
+			defer wg.Done()
+			rr, code, err := postRank(client, s.URL(), cases[c].body)
+			if err != nil || code != http.StatusOK {
+				errs[i] = fmt.Errorf("well-formed rank: code %d err %v", code, err)
+				return
+			}
+			if len(rr.Facts) != len(want[c]) {
+				errs[i] = fmt.Errorf("got %d facts, want %d", len(rr.Facts), len(want[c]))
+				return
+			}
+			for _, f := range rr.Facts {
+				if got, ref := f.Score, want[c][relation.FactID(f.ID)]; got != ref {
+					errs[i] = fmt.Errorf("fact %d: served %v != sequential %v", f.ID, got, ref)
+					return
+				}
+			}
+		}(len(paths)+c, c)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+}
+
 // TestServeBackpressure verifies the HTTP overload contract deterministically:
 // with the queue pre-filled and no dispatcher running, /rank must answer 429
 // with a Retry-After header, not block.
@@ -321,7 +387,7 @@ func TestServeBackpressure(t *testing.T) {
 	corpus, model := fixture(t)
 	s := New(Config{
 		Addr: "127.0.0.1:0", Workers: 1, MaxBatch: 2, BatchWindow: time.Millisecond,
-		QueueCap: 1, RankBatch: 8, Precision: "f64",
+		QueueCap: 1, RankBatch: 8,
 	}, corpus, model)
 	// Not started: no dispatcher will ever empty the queue.
 	if err := s.b.submit(&job{done: make(chan struct{})}); err != nil {

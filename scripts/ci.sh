@@ -5,6 +5,21 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# gate <pkg> <TestName> runs one test verbosely and fails unless it printed
+# "--- PASS: <TestName>": a skip must not silently satisfy a gate.
+gate() {
+    local out
+    if ! out=$(go test "$1" -run "^$2\$" -v); then
+        echo "$out" >&2
+        exit 1
+    fi
+    echo "$out" | tail -n 3
+    if ! echo "$out" | grep -q -- "--- PASS: $2"; then
+        echo "$2 did not pass (skipped?)" >&2
+        exit 1
+    fi
+}
+
 echo "== gofmt =="
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -53,109 +68,39 @@ echo "== go test -race (packed serve dispatch + admin auth + TLS) =="
 # the TLS round trip and the admin auth gate.
 go test -race ./internal/serve -run 'ServeParitySequential|ServeAdminAuth|ServeTLS'
 
-echo "== go test -race (blocked kernel tier + precision engines) =="
+echo "== go test -race (blocked kernels) =="
 # The blocked-kernel serial-parity test sweeps intra-op worker counts over the
-# row-partitioned blocked GEMMs, and the low-precision batched test does the
-# same through the f32/int8 engines — both explicitly under the race detector.
-go test -race ./internal/nn -run 'Blocked|Encoder32|QuantizeChannel'
-go test -race ./internal/core -run 'LowPrec|Precision'
+# row-partitioned blocked GEMMs explicitly under the race detector.
+go test -race ./internal/nn -run 'Blocked'
 
-echo "== allocation regression gate =="
-# TestEncoderStepZeroAllocs pins the warmed encoder step to 0 allocs/op. It
-# self-skips under the race detector, so run it without -race here and fail
-# unless it actually PASSed (a skip must not silently satisfy the gate).
-alloc_out=$(go test ./internal/nn -run '^TestEncoderStepZeroAllocs$' -v)
-echo "$alloc_out" | tail -n 3
-if ! echo "$alloc_out" | grep -q -- '--- PASS: TestEncoderStepZeroAllocs'; then
-    echo "TestEncoderStepZeroAllocs did not pass (skipped?)" >&2
-    exit 1
-fi
-# The instrumented sibling pins the same 0 allocs/op with a LIVE metrics
-# registry installed AND a live request trace context attached to the scoring
-# context, so observability (metrics or tracing) can never silently
-# reintroduce per-step allocations.
-alloc_out=$(go test ./internal/nn -run '^TestEncoderStepZeroAllocsInstrumented$' -v)
-echo "$alloc_out" | tail -n 3
-if ! echo "$alloc_out" | grep -q -- '--- PASS: TestEncoderStepZeroAllocsInstrumented'; then
-    echo "TestEncoderStepZeroAllocsInstrumented did not pass (skipped?)" >&2
-    exit 1
-fi
-# The batched sibling pins a warmed packed inference pass (batched forward +
-# per-sequence head readouts) to the same 0 allocs/op.
-alloc_out=$(go test ./internal/nn -run '^TestBatchedStepZeroAllocs$' -v)
-echo "$alloc_out" | tail -n 3
-if ! echo "$alloc_out" | grep -q -- '--- PASS: TestBatchedStepZeroAllocs'; then
-    echo "TestBatchedStepZeroAllocs did not pass (skipped?)" >&2
-    exit 1
-fi
-# And the training sibling: a warmed packed train step (batched forward +
-# head fills + batched backward) must also run at 0 allocs/op.
-alloc_out=$(go test ./internal/nn -run '^TestBatchedTrainStepZeroAllocs$' -v)
-echo "$alloc_out" | tail -n 3
-if ! echo "$alloc_out" | grep -q -- '--- PASS: TestBatchedTrainStepZeroAllocs'; then
-    echo "TestBatchedTrainStepZeroAllocs did not pass (skipped?)" >&2
-    exit 1
-fi
-# The blocked kernel tier must also be allocation-free: every layer now routes
-# through it, so a regression here would silently break the warmed-step
-# contract above.
-alloc_out=$(go test ./internal/nn -run '^TestBlockedKernelsZeroAllocs$' -v)
-echo "$alloc_out" | tail -n 3
-if ! echo "$alloc_out" | grep -q -- '--- PASS: TestBlockedKernelsZeroAllocs'; then
-    echo "TestBlockedKernelsZeroAllocs did not pass (skipped?)" >&2
-    exit 1
-fi
-# And the low-precision engines: a warmed f32/int8 pass (full forward, prefix
-# forward, packed batched forward + head readouts) must run at 0 allocs/op.
-alloc_out=$(go test ./internal/nn -run '^TestEncoder32ZeroAllocs$' -v)
-echo "$alloc_out" | tail -n 3
-if ! echo "$alloc_out" | grep -q -- '--- PASS: TestEncoder32ZeroAllocs'; then
-    echo "TestEncoder32ZeroAllocs did not pass (skipped?)" >&2
-    exit 1
-fi
-# The cross-request multi-prefix pass (suffixes of different lineages packed
-# into one chunk, per-sequence prefix attention) is the serving hot path with
-# -pack-requests on; a warmed pass must also run at 0 allocs/op.
-alloc_out=$(go test ./internal/nn -run '^TestMultiPrefixZeroAllocs$' -v)
-echo "$alloc_out" | tail -n 3
-if ! echo "$alloc_out" | grep -q -- '--- PASS: TestMultiPrefixZeroAllocs'; then
-    echo "TestMultiPrefixZeroAllocs did not pass (skipped?)" >&2
-    exit 1
-fi
-
-echo "== precision parity gate =="
-# The reduced-precision tiers are tolerance-gated, not bitwise: ranking the
-# golden corpus through the f32 and int8 engines must agree with the f64
-# ranker at NDCG@10 >= 0.99 and Spearman >= 0.99. Like the allocation gates,
-# a skip must not silently satisfy the gate.
-parity_out=$(go test ./internal/core -run '^TestPrecisionParityGolden$' -v)
-echo "$parity_out" | grep -E 'vs f64|--- (PASS|FAIL|SKIP)' || true
-if ! echo "$parity_out" | grep -q -- '--- PASS: TestPrecisionParityGolden'; then
-    echo "TestPrecisionParityGolden did not pass (skipped?)" >&2
-    exit 1
-fi
+echo "== allocation regression gates =="
+# The warmed encoder step must run at 0 allocs/op. These tests self-skip under
+# the race detector, so they run here without -race.
+gate ./internal/nn TestEncoderStepZeroAllocs
+# The same 0 allocs/op with a LIVE metrics registry installed AND a live
+# request trace context attached to the scoring context, so observability
+# (metrics or tracing) can never silently reintroduce per-step allocations.
+gate ./internal/nn TestEncoderStepZeroAllocsInstrumented
+# A warmed packed inference pass (batched forward + per-sequence head readouts).
+gate ./internal/nn TestBatchedStepZeroAllocs
+# A warmed packed train step (batched forward + head fills + batched backward).
+gate ./internal/nn TestBatchedTrainStepZeroAllocs
+# The blocked kernels every layer routes through.
+gate ./internal/nn TestBlockedKernelsZeroAllocs
+# The prefix-sharing multi-prefix pass, which every batched ranking call and
+# the packed serving dispatch run on.
+gate ./internal/nn TestMultiPrefixZeroAllocs
 
 echo "== sampler-vs-exact parity gate =="
 # Every approximate labeling engine (mc, amc, stratified) must hold Spearman
 # >= 0.95 against the exact oracle on the gated golden lineages at the
-# GateSamples budget. Like the allocation gates, a skip must not silently
-# satisfy the gate — fail unless the test actually PASSed.
-parity_out=$(go test ./internal/shapley/approx -run '^TestSamplerOracleParityGate$' -v)
-echo "$parity_out" | grep -E 'spearman=|--- (PASS|FAIL|SKIP)' || true
-if ! echo "$parity_out" | grep -q -- '--- PASS: TestSamplerOracleParityGate'; then
-    echo "TestSamplerOracleParityGate did not pass (skipped?)" >&2
-    exit 1
-fi
+# GateSamples budget.
+gate ./internal/shapley/approx TestSamplerOracleParityGate
 
 echo "== corpus seed-determinism gate =="
 # A fixed -label-seed must produce byte-identical corpus exports at every
-# -workers count for every sampling engine; non-skippable for the same reason.
-det_out=$(go test ./internal/dataset -run '^TestCorpusBytesIdenticalAcrossWorkers$' -v)
-echo "$det_out" | tail -n 3
-if ! echo "$det_out" | grep -q -- '--- PASS: TestCorpusBytesIdenticalAcrossWorkers'; then
-    echo "TestCorpusBytesIdenticalAcrossWorkers did not pass (skipped?)" >&2
-    exit 1
-fi
+# -workers count for every sampling engine.
+gate ./internal/dataset TestCorpusBytesIdenticalAcrossWorkers
 
 echo "== end-to-end run manifest =="
 # Tiny full pipeline (corpus -> train -> eval) with the observability stack on:
@@ -163,11 +108,11 @@ echo "== end-to-end run manifest =="
 # emits the run manifest, and the schema check validates what was written.
 manifest_dir=$(mktemp -d)
 trap 'rm -rf "$manifest_dir"' EXIT
-# -rank-batch 8 routes evaluation ranking through the packed batched encoder
-# path and -train-batch 8 routes the (small, one-epoch) pre-training and
-# fine-tuning schedules through the packed batched training path, so the
-# manifest must show live nn.batch.* and core.pretrain.* metrics — asserted
-# below via REPRO_MANIFEST_EXPECT_METRICS. -labeler mc labels the corpus with
+# -rank-batch 8 routes evaluation ranking through the packed multi-prefix
+# encoder path and -train-batch 8 routes the (small, one-epoch) pre-training
+# and fine-tuning schedules through the packed batched training path, so the
+# manifest must show live nn.mbatch.*, nn.batch.* and core.pretrain.* metrics
+# — asserted below via REPRO_MANIFEST_EXPECT_METRICS. -labeler mc labels the corpus with
 # the Monte Carlo sampling engine, so live shapley.approx.* metrics must show
 # up in the same manifest.
 go run ./cmd/tune -queries 16 -cases 2 -epochs 1 -samples 40 \
@@ -176,7 +121,7 @@ go run ./cmd/tune -queries 16 -cases 2 -epochs 1 -samples 40 \
     -dim 8 -layers 1 -workers 2 -rank-batch 8 -train-batch 8 \
     -metrics-out "$manifest_dir/run.json" -trace -quiet 2>/dev/null
 REPRO_MANIFEST="$manifest_dir/run.json" \
-    REPRO_MANIFEST_EXPECT_METRICS="nn.batch.,core.rank.,core.pretrain.,shapley.approx." \
+    REPRO_MANIFEST_EXPECT_METRICS="nn.batch.,nn.mbatch.,core.rank.,core.pretrain.,shapley.approx." \
     go test ./internal/obs -run '^TestValidateManifestFile$' -v | tail -n 3
 # Metric-naming lint over the live registry snapshot the run actually
 # produced: every registered name must follow the repo convention and survive
