@@ -85,13 +85,14 @@ func TestRankOnBatchedTruncated(t *testing.T) {
 	}
 }
 
-// TestEligibilityExactBudgetEdges pins fast-path eligibility at the exact
-// sequence budget. eligibleFactLen is the single decision both the per-fact
-// and batched rankers route through, so these edges are exactly where both
-// paths flip from prefix reuse to the per-fact fallback: a fact that exactly
-// fills the budget (or overflows while being the longest segment, so only the
-// fact is trimmed) stays on the fast path; one token of overflow with the
-// query or tuple longest reaches into the prefix and forces the fallback.
+// TestEligibilityExactBudgetEdges pins how a fact is packed at the exact
+// sequence budget. prefixFor is the single decision both the per-fact and
+// batched rankers route through, so these edges are exactly where both paths
+// flip from the lineage's untrimmed prefix to a trimmed one: a fact that
+// exactly fills the budget (or overflows while being the longest segment, so
+// only the fact is trimmed) keeps the untrimmed prefix; one token of overflow
+// with the query or tuple longest trims that segment, and the fact gets the
+// prefix cache of the trimmed (qLen, tLen) shape.
 func TestEligibilityExactBudgetEdges(t *testing.T) {
 	c, _ := tinyCorpus(t)
 	cfg := tinyConfig()
@@ -99,34 +100,38 @@ func TestEligibilityExactBudgetEdges(t *testing.T) {
 	m := newModel(cfg, tok, rand.New(rand.NewSource(cfg.Seed)))
 	budget := cfg.MaxSeqLen - 4 // CLS + three SEPs around (q, t, f)
 	cases := []struct {
-		name       string
-		qLen, tLen int
-		factLen    int
-		wantLen    int
-		wantOK     bool
+		name                string
+		qLen, tLen, factLen int
+		wantQ, wantT, wantF int
 	}{
-		{"fact exactly fills", 6, 4, budget - 10, budget - 10, true},
-		{"fact overflows by one, fact longest", 6, 4, budget - 9, budget - 10, true},
-		{"query longest on overflow", budget - 14, 4, 11, 0, false},
-		{"tuple longest on overflow", 4, budget - 14, 11, 0, false},
+		{"fact exactly fills", 6, 4, budget - 10, 6, 4, budget - 10},
+		{"fact overflows by one, fact longest", 6, 4, budget - 9, 6, 4, budget - 10},
+		{"query longest on overflow", budget - 14, 4, 11, budget - 15, 4, 11},
+		{"tuple longest on overflow", 4, budget - 14, 11, 4, budget - 15, 11},
 	}
 	for _, tc := range cases {
-		s := &lineageScorer{m: m, qLen: tc.qLen, tLen: tc.tLen, lens: make([]int, 3)}
-		fToks := make([]string, tc.factLen)
-		fLen, ok := s.eligibleFactLen(fToks)
-		if ok != tc.wantOK || (ok && fLen != tc.wantLen) {
-			t.Errorf("%s: eligibleFactLen(q=%d t=%d f=%d) = (%d, %v), want (%d, %v)",
-				tc.name, tc.qLen, tc.tLen, tc.factLen, fLen, ok, tc.wantLen, tc.wantOK)
+		s := newLineageScorer(m, Input{})
+		s.qToks, s.tToks = make([]string, tc.qLen), make([]string, tc.tLen)
+		s.qLen, s.tLen = tc.qLen, tc.tLen
+		pc, fLen := s.prefixFor(make([]string, tc.factLen))
+		untrimmed := tc.wantQ == tc.qLen && tc.wantT == tc.tLen
+		if fLen != tc.wantF || pc.Len() != tc.wantQ+tc.wantT+3 || (pc == s.pc) != untrimmed {
+			t.Errorf("%s: prefixFor(q=%d t=%d f=%d) = (prefix %d, fact %d, untrimmed %v), want (%d, %d, %v)",
+				tc.name, tc.qLen, tc.tLen, tc.factLen, pc.Len(), fLen, pc == s.pc,
+				tc.wantQ+tc.wantT+3, tc.wantF, untrimmed)
+		}
+		if again, _ := s.prefixFor(make([]string, tc.factLen)); again != pc {
+			t.Errorf("%s: a second fact of the same shape got a different prefix cache", tc.name)
 		}
 	}
 }
 
 // TestRankOnBatchedCounterAgreement ranks the same inputs through the
 // per-fact and batched paths under separate live registries and asserts the
-// prefix hit/fallback counters agree exactly: both paths classify every fact
-// through the same eligibility rule. It also pins the batched-pass metrics:
-// every fast-path fact flows through a multi-prefix packed pass, so
-// nn.mbatch.sequences equals the hit count.
+// prefix hit/fallback/build counters agree exactly: both paths pack every
+// fact through the same prefixFor rule. It also pins the batched-pass
+// metrics: every fact, trimmed prefix or not, flows through a multi-prefix
+// packed pass, so nn.mbatch.sequences equals hits + fallbacks.
 func TestRankOnBatchedCounterAgreement(t *testing.T) {
 	c, _ := tinyCorpus(t)
 	cfg := tinyConfig()
@@ -152,23 +157,22 @@ func TestRankOnBatchedCounterAgreement(t *testing.T) {
 	batched := rank(3)
 	for _, name := range []string{
 		"core.rank.lineages", "core.rank.facts",
-		"core.rank.prefix_hits", "core.rank.prefix_fallbacks",
+		"core.rank.prefix_hits", "core.rank.prefix_fallbacks", "core.rank.prefix_builds",
 	} {
 		if perFact.Counters[name] != batched.Counters[name] {
 			t.Errorf("counter %s: per-fact %d vs batched %d",
 				name, perFact.Counters[name], batched.Counters[name])
 		}
 	}
-	hits := perFact.Counters["core.rank.prefix_hits"]
-	if hits == 0 || perFact.Counters["core.rank.prefix_fallbacks"] == 0 {
-		t.Fatalf("fixture must exercise both paths: hits=%d fallbacks=%d",
-			hits, perFact.Counters["core.rank.prefix_fallbacks"])
+	hits, fallbacks := perFact.Counters["core.rank.prefix_hits"], perFact.Counters["core.rank.prefix_fallbacks"]
+	if hits == 0 || fallbacks == 0 {
+		t.Fatalf("fixture must exercise both prefix kinds: hits=%d fallbacks=%d", hits, fallbacks)
 	}
 	if perFact.Counters["nn.mbatch.passes"] != 0 {
 		t.Error("per-fact path must not take batched passes")
 	}
-	if got := batched.Counters["nn.mbatch.sequences"]; got != hits {
-		t.Errorf("nn.mbatch.sequences = %d, want every fast-path fact (%d)", got, hits)
+	if got := batched.Counters["nn.mbatch.sequences"]; got != hits+fallbacks {
+		t.Errorf("nn.mbatch.sequences = %d, want every fact (%d)", got, hits+fallbacks)
 	}
 	if batched.Counters["nn.mbatch.passes"] == 0 {
 		t.Error("batched path recorded no packed passes")

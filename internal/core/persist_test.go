@@ -131,3 +131,61 @@ func TestLoadModelIgnoresLegacyPrecision(t *testing.T) {
 		assertValuesBitEqual(t, "legacy checkpoint", got.RankOn(c.DB, in), want.RankOn(c.DB, in))
 	}
 }
+
+// TestLoadModelRejectsPoisonedCheckpoints feeds LoadModel one poisoned gob
+// per failure mode: an architecture the encoder cannot build, sizes beyond
+// the checkpoint bounds (which would otherwise become huge allocations), a
+// TargetScale predictions cannot be divided by, and non-finite weights. Each
+// must come back as an error — never a panic, never an allocation sized by
+// the poisoned field.
+func TestLoadModelRejectsPoisonedCheckpoints(t *testing.T) {
+	c, _ := tinyCorpus(t)
+	cfg := tinyConfig()
+	m := newModel(cfg, buildVocabulary(c, cfg), rand.New(rand.NewSource(cfg.Seed)))
+	var clean bytes.Buffer
+	if err := m.Save(&clean); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadModel(bytes.NewReader(clean.Bytes()), c.DB); err != nil {
+		t.Fatalf("clean checkpoint: %v", err)
+	}
+	for _, tc := range []struct {
+		name   string
+		poison func(p *savedModel)
+	}{
+		{"zero layers", func(p *savedModel) { p.Cfg.Layers = 0 }},
+		{"negative layers", func(p *savedModel) { p.Cfg.Layers = -1 }},
+		{"heads do not divide dim", func(p *savedModel) { p.Cfg.Heads = 3 }},
+		{"zero heads", func(p *savedModel) { p.Cfg.Heads = 0 }},
+		{"huge dim", func(p *savedModel) { p.Cfg.Dim, p.Cfg.Heads = 1<<24, 1 }},
+		{"huge ffn", func(p *savedModel) { p.Cfg.FFNHidden = 1 << 30 }},
+		{"huge vocab", func(p *savedModel) { p.Cfg.VocabSize = 1 << 30 }},
+		{"huge max seq len", func(p *savedModel) { p.Cfg.MaxSeqLen = 1 << 30 }},
+		{"max seq len below one (q, t, f) frame", func(p *savedModel) { p.Cfg.MaxSeqLen = 3 }},
+		{"zero target scale", func(p *savedModel) { p.Cfg.TargetScale = 0 }},
+		{"NaN target scale", func(p *savedModel) { p.Cfg.TargetScale = math.NaN() }},
+		{"infinite target scale", func(p *savedModel) { p.Cfg.TargetScale = math.Inf(1) }},
+		{"NaN weight", func(p *savedModel) { p.Weights[0][0] = math.NaN() }},
+		{"infinite weight", func(p *savedModel) { p.Weights[len(p.Weights)-1][0] = math.Inf(-1) }},
+	} {
+		var p savedModel
+		if err := gob.NewDecoder(bytes.NewReader(clean.Bytes())).Decode(&p); err != nil {
+			t.Fatal(err)
+		}
+		tc.poison(&p)
+		var poisoned bytes.Buffer
+		if err := gob.NewEncoder(&poisoned).Encode(&p); err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: LoadModel panicked: %v", tc.name, r)
+				}
+			}()
+			if _, err := LoadModel(&poisoned, c.DB); err == nil {
+				t.Errorf("%s: LoadModel accepted the poisoned checkpoint", tc.name)
+			}
+		}()
+	}
+}

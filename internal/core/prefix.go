@@ -15,8 +15,8 @@ import (
 //
 // so the scorer tokenizes and encodes that prefix once (through the embedding
 // layer, via nn.PrefixCache) and re-runs only the transformer blocks per fact,
-// with the fact tokens appended as segment 2. Two further differences from the
-// naive per-fact path, both provably bit-preserving for the [CLS] output row
+// with the fact tokens appended as segment 2. Three differences from the
+// naive per-fact path, all provably bit-preserving for the [CLS] output row
 // (see DESIGN.md "Memory model & kernels"):
 //
 //   - sequences are not padded to MaxSeqLen: attention masks padded keys out of
@@ -24,31 +24,34 @@ import (
 //     rows never influence row 0;
 //   - the prefix embedding rows are reused across facts: embeddings and
 //     LayerNorm are row-local and the prefix occupies the same absolute
-//     positions in every sequence of the lineage.
+//     positions in every sequence of the lineage;
+//   - the encoder's last layer runs on the [CLS] row only (nn.encodeInfer),
+//     the one row the head reads.
 //
-// The fast path applies only when Pack's truncation rule (tokenizer.FitLengths)
-// would leave the query and tuple segments untrimmed; otherwise the fact
-// segment is long enough to steal prefix budget, the shared prefix differs per
-// fact, and the scorer falls back to the reference path (Model.predictShapley)
-// for those facts — which is the same computation, just without reuse.
+// Pack's truncation rule (tokenizer.FitLengths) decides each fact's segment
+// lengths. Most facts leave the query and tuple untrimmed and share the
+// lineage's full prefix. A long fact can steal prefix budget and trim q and t
+// to shorter (qLen, tLen); every fact with the same trimmed shape shares
+// that trimmed prefix, so the scorer keeps one cache per shape, built on
+// first use. Every fact therefore runs through the same prefix-reuse pass.
 type lineageScorer struct {
 	m            *Model
 	qToks, tToks []string
 	qLen, tLen   int
 
-	pc        *nn.PrefixCache // built lazily on the first fast-path fact
-	prefixLen int
+	pc      *nn.PrefixCache            // untrimmed prefix, built on the first fact that uses it
+	trimmed map[[2]int]*nn.PrefixCache // (qLen, tLen) -> trimmed prefix, built on first use
 
 	// Reusable per-fact buffers.
 	suf, sufSeg []int
 	mask        []bool
 	lens        []int
 
-	// Prefix-reuse effectiveness counters: facts scored through the shared
-	// prefix vs. facts that fell back to the reference path because
-	// truncation reached into the prefix. Resolved once per lineage; nil
-	// (no-op) without a live registry.
-	mHits, mFallbacks *obs.Counter
+	// Prefix effectiveness counters: facts scored through the untrimmed
+	// prefix vs. facts whose truncation reached into the prefix (scored
+	// through a trimmed one), and prefix caches embedded. Resolved once per
+	// lineage; nil (no-op) without a live registry.
+	mHits, mFallbacks, mBuilds *obs.Counter
 }
 
 func newLineageScorer(m *Model, in Input) *lineageScorer {
@@ -60,14 +63,18 @@ func newLineageScorer(m *Model, in Input) *lineageScorer {
 		lens:       make([]int, 3),
 		mHits:      reg.Counter("core.rank.prefix_hits"),
 		mFallbacks: reg.Counter("core.rank.prefix_fallbacks"),
+		mBuilds:    reg.Counter("core.rank.prefix_builds"),
 	}
 	s.qLen, s.tLen = len(s.qToks), len(s.tToks)
 	return s
 }
 
-// buildPrefix encodes [CLS] q [SEP] t [SEP] through the embedding layer once.
-func (s *lineageScorer) buildPrefix() {
-	n := 1 + s.qLen + 1 + s.tLen + 1
+// buildPrefix encodes [CLS] q[:qLen] [SEP] t[:tLen] [SEP] through the
+// embedding layer, with exactly the tokens and segments Pack emits for those
+// lengths.
+func (s *lineageScorer) buildPrefix(qLen, tLen int) *nn.PrefixCache {
+	s.mBuilds.Add(1)
+	n := 1 + qLen + 1 + tLen + 1
 	tokens := make([]int, 0, n)
 	segs := make([]int, 0, n)
 	push := func(id, seg int) {
@@ -75,48 +82,53 @@ func (s *lineageScorer) buildPrefix() {
 		segs = append(segs, seg)
 	}
 	push(tokenizer.ClsID, 0)
-	for _, id := range s.m.tok.Encode(s.qToks) {
+	for _, id := range s.m.tok.Encode(s.qToks[:qLen]) {
 		push(id, 0)
 	}
 	push(tokenizer.SepID, 0)
-	for _, id := range s.m.tok.Encode(s.tToks) {
+	for _, id := range s.m.tok.Encode(s.tToks[:tLen]) {
 		push(id, 1)
 	}
 	push(tokenizer.SepID, 1)
-	s.pc = s.m.enc.EmbedPrefix(tokens, segs)
-	s.prefixLen = len(tokens)
+	return s.m.enc.EmbedPrefix(tokens, segs)
 }
 
-// eligibleFactLen decides whether a fact with the given tokens can take the
-// shared-prefix fast path and, if so, returns its (possibly trimmed) token
-// count. The single source of truth for fast-path eligibility: the per-fact
-// and batched rankers both route through it, so they fall back on exactly the
-// same facts.
-func (s *lineageScorer) eligibleFactLen(fToks []string) (int, bool) {
+// prefixFor applies Pack's truncation rule to a fact and returns the prefix
+// cache for the resulting (query, tuple) lengths — built on first use — and
+// the fact's (possibly trimmed) token count. The single source of truth for
+// how a fact is packed: the per-fact and batched rankers both route through
+// it, so they score every fact against the same prefix.
+func (s *lineageScorer) prefixFor(fToks []string) (*nn.PrefixCache, int) {
 	s.lens[0], s.lens[1], s.lens[2] = s.qLen, s.tLen, len(fToks)
 	tokenizer.FitLengths(s.m.Cfg.MaxSeqLen, s.lens)
-	if s.lens[0] != s.qLen || s.lens[1] != s.tLen {
-		// Truncation reached into the shared prefix: the prefix would differ
-		// for this fact, so reuse is unsound.
-		return 0, false
+	qLen, tLen, fLen := s.lens[0], s.lens[1], s.lens[2]
+	if qLen == s.qLen && tLen == s.tLen {
+		s.mHits.Add(1)
+		if s.pc == nil {
+			s.pc = s.buildPrefix(qLen, tLen)
+		}
+		return s.pc, fLen
 	}
-	return s.lens[2], true
+	// Truncation reached into the prefix: share the cache of this shape.
+	s.mFallbacks.Add(1)
+	key := [2]int{qLen, tLen}
+	pc := s.trimmed[key]
+	if pc == nil {
+		if s.trimmed == nil {
+			s.trimmed = make(map[[2]int]*nn.PrefixCache)
+		}
+		pc = s.buildPrefix(qLen, tLen)
+		s.trimmed[key] = pc
+	}
+	return pc, fLen
 }
 
 // score predicts the (unscaled) Shapley value of one fact from its tokens
 // (cached per fact by Model.tokensForFact at the call sites).
 func (s *lineageScorer) score(fToks []string) float64 {
-	fLen, ok := s.eligibleFactLen(fToks)
-	if !ok {
-		s.mFallbacks.Add(1)
-		return s.m.predictShapley(s.qToks, s.tToks, fToks)
-	}
-	s.mHits.Add(1)
-	if s.pc == nil {
-		s.buildPrefix()
-	}
+	pc, fLen := s.prefixFor(fToks)
 	s.suf, s.sufSeg = appendFactSuffix(s.suf[:0], s.sufSeg[:0], s.m.tok, fToks, fLen)
-	seq := s.prefixLen + fLen + 1
+	seq := pc.Len() + len(s.suf)
 	if cap(s.mask) < seq {
 		s.mask = make([]bool, seq)
 		for i := range s.mask {
@@ -124,7 +136,7 @@ func (s *lineageScorer) score(fToks []string) float64 {
 		}
 	}
 	s.mask = s.mask[:seq]
-	hidden := s.m.enc.ForwardWithPrefix(s.pc, s.suf, s.sufSeg, s.mask)
+	hidden := s.m.enc.ForwardWithPrefix(pc, s.suf, s.sufSeg, s.mask)
 	return s.m.shapHead.Forward(hidden) / s.m.Cfg.TargetScale
 }
 
@@ -160,9 +172,9 @@ func (m *Model) rankOn(db *relation.Database, in Input) shapley.Values {
 }
 
 // rankOnFull is the pre-optimization reference path: every fact is scored by
-// an independent full-length (padded, no prefix reuse) forward pass. Kept for
-// the bit-identity golden test and as the baseline of the end-to-end ranking
-// benchmark (BENCH_kernels.json).
+// an independent full-length (padded, no prefix reuse, every layer on every
+// row) forward pass. Kept as the oracle of the bit-identity golden tests and
+// as the baseline of BenchmarkRankLineageFull.
 func (m *Model) rankOnFull(db *relation.Database, in Input) shapley.Values {
 	qToks := tokenizer.TokenizeSQL(in.SQL)
 	tToks := tokenizer.TokenizeValues(in.TupleValues)

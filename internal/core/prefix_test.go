@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/obs"
+	"repro/internal/tokenizer"
 )
 
 // caseInputs collects ranking inputs for every labeled case in the corpus.
@@ -124,6 +126,60 @@ func TestRankOnReplicaParity(t *testing.T) {
 			if math.Float64bits(got[id]) != math.Float64bits(w) {
 				t.Fatalf("fact %v: replica score %v != primary %v", id, got[id], w)
 			}
+		}
+	}
+}
+
+// TestRankTrimmedShapesGolden pins the per-shape trimmed prefix caches: on a
+// lineage that keeps some facts on the untrimmed prefix while others trim
+// (q, t) to at least two distinct shapes, both RankOn (RankBatch 0, per-fact
+// passes) and RankManyOn (RankBatch 3, packed passes) must score every fact
+// bitwise like rankOnFull, and embed exactly one prefix cache per shape used:
+// core.rank.prefix_builds = 1 + the number of distinct trimmed shapes.
+func TestRankTrimmedShapesGolden(t *testing.T) {
+	c, _ := tinyCorpus(t)
+	// Find a sequence budget and a lineage that mix the untrimmed prefix with
+	// at least two trimmed shapes, deriving shapes with Pack's own rule.
+	var in Input
+	maxSeq, shapes := 0, 0
+	for budget := 96; budget >= 12 && shapes == 0; budget-- {
+		for _, cand := range caseInputs(c) {
+			q := len(tokenizer.TokenizeSQL(cand.SQL))
+			tl := len(tokenizer.TokenizeValues(cand.TupleValues))
+			untrimmed, trimmed := false, map[[2]int]bool{}
+			for _, id := range cand.Lineage {
+				lens := tokenizer.FitLengths(budget, []int{q, tl, len(tokenizer.TokenizeFact(c.DB.Fact(id)))})
+				if lens[0] == q && lens[1] == tl {
+					untrimmed = true
+				} else {
+					trimmed[[2]int{lens[0], lens[1]}] = true
+				}
+			}
+			if untrimmed && len(trimmed) >= 2 {
+				in, maxSeq, shapes = cand, budget, len(trimmed)
+				break
+			}
+		}
+	}
+	if shapes == 0 {
+		t.Fatal("no lineage mixes the untrimmed prefix with two trimmed shapes; the fixture is vacuous")
+	}
+	t.Logf("MaxSeqLen %d: %d facts, %d trimmed shapes", maxSeq, len(in.Lineage), shapes)
+	cfg := tinyConfig()
+	cfg.MaxSeqLen = maxSeq
+	tok := buildVocabulary(c, cfg)
+	for _, rankBatch := range []int{0, 3} {
+		run := obs.NewRun("trimmed-shapes-test", obs.NewRegistry(), nil, nil)
+		obs.Install(run)
+		cfg.RankBatch = rankBatch
+		m := newModel(cfg, tok, rand.New(rand.NewSource(cfg.Seed)))
+		want := m.rankOnFull(c.DB, in)
+		assertValuesBitEqual(t, "RankOn", m.RankOn(c.DB, in), want)
+		assertValuesBitEqual(t, "RankManyOn", m.RankManyOn(c.DB, []Input{in})[0], want)
+		obs.Uninstall()
+		if got := run.Reg.Snapshot().Counters["core.rank.prefix_builds"]; got != int64(2*(1+shapes)) {
+			t.Errorf("RankBatch %d: core.rank.prefix_builds = %d over two rankings, want 2×(1 + %d trimmed shapes)",
+				rankBatch, got, shapes)
 		}
 	}
 }

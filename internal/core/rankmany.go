@@ -8,27 +8,27 @@ import (
 )
 
 // Batched ranking: RankMany scores one or more lineages in one call and packs
-// their fast-path facts into shared encoder passes via
+// all their facts into shared encoder passes via
 // nn.BatchedForwardMultiPrefix, so each transformer layer's projections run
 // as a few large GEMMs instead of one small GEMM per fact, and a coalesced
 // serving batch becomes a few packed passes instead of one per request.
 // RankOn with RankBatch > 1 is RankManyOn of a single input. Each lineage
-// still owns its prefix cache and its truncation-eligibility decisions —
-// lineageScorer.eligibleFactLen stays the single source of truth, so the
-// fast/fallback split per fact is exactly the per-fact path's, and fallback
-// facts run the identical per-lineage reference pass (Model.predictShapley).
-// Scores are therefore bit-identical to per-fact prefix ranking: the packed
-// pass is bit-identical to per-sequence ForwardWithPrefix calls (see
-// internal/nn) and the head reads each sequence's [CLS] row via ForwardAt,
-// which is the same Dim floats the per-fact head reads.
+// still owns its prefix caches — the untrimmed one and one per trimmed
+// (qLen, tLen) shape — and lineageScorer.prefixFor stays the single source of
+// truth for which cache and fact length a fact gets, exactly as on the
+// per-fact path. Scores are therefore bit-identical to per-fact prefix
+// ranking: the packed pass is bit-identical to per-sequence ForwardWithPrefix
+// calls (see internal/nn) and the head reads each sequence's [CLS] row via
+// ForwardAt, which is the same Dim floats the per-fact head reads.
 
-// multiBatcher accumulates fast-path facts across lineages and flushes them
-// in multi-prefix packed passes. Facts are queued in input order, so each
-// pass sees lineages as consecutive runs of the same cache. Slot buffers are
-// reused across chunks; queued state holds only owned token slices, mask
-// views of trueMask, and PrefixCache pointers (whose rows are clones), so
-// interleaved fallback passes and prefix builds — both of which reset the
-// encoder workspace — cannot corrupt a pending chunk.
+// multiBatcher accumulates facts across lineages and flushes them in
+// multi-prefix packed passes. Facts are queued in input order, so each pass
+// sees lineages as runs of consecutive facts (a lineage whose facts trim to
+// several shapes contributes several caches). Slot buffers are reused across
+// chunks; queued state holds only owned token slices, mask views of
+// trueMask, and PrefixCache pointers (whose rows are clones), so interleaved
+// prefix builds — which reset the encoder workspace — cannot corrupt a
+// pending chunk.
 type multiBatcher struct {
 	m *Model
 
@@ -50,10 +50,10 @@ func newMultiBatcher(m *Model) *multiBatcher {
 	return b
 }
 
-// add queues one fast-path fact of lineage s (scattering its score into out)
-// and flushes when the chunk is full. The caller has already built s's
-// prefix cache.
-func (b *multiBatcher) add(s *lineageScorer, out shapley.Values, id relation.FactID, fToks []string, fLen int) {
+// add queues one fact, to be encoded after prefix pc with its first fLen
+// tokens (scattering its score into out), and flushes when the chunk is
+// full.
+func (b *multiBatcher) add(pc *nn.PrefixCache, out shapley.Values, id relation.FactID, fToks []string, fLen int) {
 	if b.n == len(b.ids) {
 		b.pcs = append(b.pcs, nil)
 		b.ids = append(b.ids, 0)
@@ -62,12 +62,12 @@ func (b *multiBatcher) add(s *lineageScorer, out shapley.Values, id relation.Fac
 		b.sufSegs = append(b.sufSegs, nil)
 		b.masks = append(b.masks, nil)
 	}
-	b.pcs[b.n] = s.pc
+	b.pcs[b.n] = pc
 	b.ids[b.n] = id
 	b.outs[b.n] = out
 	b.sufs[b.n], b.sufSegs[b.n] = appendFactSuffix(
 		b.sufs[b.n][:0], b.sufSegs[b.n][:0], b.m.tok, fToks, fLen)
-	b.masks[b.n] = b.trueMask[:s.prefixLen+len(b.sufs[b.n])]
+	b.masks[b.n] = b.trueMask[:pc.Len()+len(b.sufs[b.n])]
 	b.n++
 	if b.n == b.m.Cfg.RankBatch {
 		b.flush()
@@ -96,7 +96,7 @@ func (m *Model) RankMany(ins []Input) []shapley.Values {
 }
 
 // RankManyOn ranks several lineages whose fact IDs refer to the given
-// database. With Cfg.RankBatch > 1, the fast-path facts of ALL inputs share
+// database. With Cfg.RankBatch > 1, the facts of ALL inputs share
 // one packing budget: chunks of up to RankBatch sequences flush through
 // nn.BatchedForwardMultiPrefix regardless of which lineage contributed them,
 // so small lineages no longer cap GEMM size. out[i] corresponds to ins[i].
@@ -128,17 +128,8 @@ func (m *Model) RankManyOn(db *relation.Database, ins []Input) []shapley.Values 
 				continue
 			}
 			fToks := m.tokensForFact(db, id, f)
-			fLen, ok := s.eligibleFactLen(fToks)
-			if !ok {
-				s.mFallbacks.Add(1)
-				out[i][id] = m.predictShapley(s.qToks, s.tToks, fToks)
-				continue
-			}
-			s.mHits.Add(1)
-			if s.pc == nil {
-				s.buildPrefix()
-			}
-			b.add(s, out[i], id, fToks, fLen)
+			pc, fLen := s.prefixFor(fToks)
+			b.add(pc, out[i], id, fToks, fLen)
 		}
 	}
 	b.flush()

@@ -78,11 +78,12 @@ func TestRankManyTruncatedGolden(t *testing.T) {
 	}
 }
 
-// TestRankManyCounterAgreement asserts RankMany classifies every fact through
-// the same eligibility rule as per-request ranking (identical core.rank.*
-// counters) and pins the cross-request pass metrics: every fast-path fact
-// flows through a multi-prefix pass, so nn.mbatch.sequences equals the hit
-// count, and the packed-training nn.batch.* counters stay untouched.
+// TestRankManyCounterAgreement asserts RankMany packs every fact through the
+// same prefixFor rule as per-request ranking (identical core.rank.* counters)
+// and pins the cross-request pass metrics: every fact, trimmed prefix or
+// not, flows through a multi-prefix pass, so nn.mbatch.sequences equals
+// hits + fallbacks, and the packed-training nn.batch.* counters stay
+// untouched.
 func TestRankManyCounterAgreement(t *testing.T) {
 	c, _ := tinyCorpus(t)
 	cfg := tinyConfig()
@@ -110,20 +111,19 @@ func TestRankManyCounterAgreement(t *testing.T) {
 	many := snapshot(3, true)
 	for _, name := range []string{
 		"core.rank.lineages", "core.rank.facts",
-		"core.rank.prefix_hits", "core.rank.prefix_fallbacks",
+		"core.rank.prefix_hits", "core.rank.prefix_fallbacks", "core.rank.prefix_builds",
 	} {
 		if perRequest.Counters[name] != many.Counters[name] {
 			t.Errorf("counter %s: per-request %d vs RankMany %d",
 				name, perRequest.Counters[name], many.Counters[name])
 		}
 	}
-	hits := perRequest.Counters["core.rank.prefix_hits"]
-	if hits == 0 || perRequest.Counters["core.rank.prefix_fallbacks"] == 0 {
-		t.Fatalf("fixture must exercise both paths: hits=%d fallbacks=%d",
-			hits, perRequest.Counters["core.rank.prefix_fallbacks"])
+	hits, fallbacks := perRequest.Counters["core.rank.prefix_hits"], perRequest.Counters["core.rank.prefix_fallbacks"]
+	if hits == 0 || fallbacks == 0 {
+		t.Fatalf("fixture must exercise both prefix kinds: hits=%d fallbacks=%d", hits, fallbacks)
 	}
-	if got := many.Counters["nn.mbatch.sequences"]; got != hits {
-		t.Errorf("nn.mbatch.sequences = %d, want every fast-path fact (%d)", got, hits)
+	if got := many.Counters["nn.mbatch.sequences"]; got != hits+fallbacks {
+		t.Errorf("nn.mbatch.sequences = %d, want every fact (%d)", got, hits+fallbacks)
 	}
 	if many.Counters["nn.mbatch.passes"] == 0 {
 		t.Error("RankMany recorded no multi-prefix passes")

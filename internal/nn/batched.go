@@ -55,7 +55,7 @@ func (e *Encoder) BatchedForward(tokens, segments [][]int, masks [][]bool) (*Mat
 		e.embedRowsAt(x, e.batchOffs[b], tokens[b], segments[b], 0)
 	}
 	x = e.embLN.Forward(e.ws, x)
-	return e.encodeBatch(x, masks), e.batchOffs
+	return e.encodeBatch(e.layers, x, masks), e.batchOffs
 }
 
 // recordBatch bumps the batched-pass metrics; tokens counts only rows that
@@ -68,17 +68,13 @@ func (e *Encoder) recordBatch(seqs, tokens int) {
 	e.hBatchSize.Observe(float64(seqs))
 }
 
-// encodeBatch runs the transformer blocks over the packed post-embedding
-// states. Everything except attention is row-local and runs directly on the
-// packed matrix; attention goes through the per-sequence batched kernel.
-func (e *Encoder) encodeBatch(x *Mat, masks [][]bool) *Mat {
-	for _, l := range e.layers {
-		h := l.attn.BatchedForward(e.ws, x, e.batchOffs, e.batchLens, masks)
-		h.AddInPlace(x)
-		x = l.ln1.Forward(e.ws, h)
-		f := l.ffn.Forward(e.ws, x)
-		f.AddInPlace(x)
-		x = l.ln2.Forward(e.ws, f)
+// encodeBatch runs the given transformer blocks over the packed
+// post-embedding states. Everything except attention is row-local and runs
+// directly on the packed matrix; attention goes through the per-sequence
+// batched kernel.
+func (e *Encoder) encodeBatch(layers []*encoderLayer, x *Mat, masks [][]bool) *Mat {
+	for _, l := range layers {
+		x = l.postAttention(e.ws, l.attn.BatchedForward(e.ws, x, e.batchOffs, e.batchLens, masks), x)
 	}
 	return x
 }
@@ -92,17 +88,43 @@ func (e *Encoder) encodeBatch(x *Mat, masks [][]bool) *Mat {
 func (a *MultiHeadAttention) BatchedForward(ws *Workspace, x *Mat, offs, lens []int, masks [][]bool) *Mat {
 	q, k, v := a.Wq.Forward(ws, x), a.Wk.Forward(ws, x), a.Wv.Forward(ws, x)
 	concat := ws.Get(x.Rows, a.Dim)
+	a.attendPacked(ws, q, k, v, concat, offs, lens, masks, false)
+	return a.Wo.Forward(ws, concat)
+}
+
+// clsForward is BatchedForward for the [CLS] query of each sequence only:
+// K and V are projected for every packed row of x (the [CLS] row attends all
+// of them), but Q, the scores and softmax, the context and the output
+// projection run on cls, whose row b is x's row offs[b]. The result is B×dim
+// and its row b is bit-identical to row offs[b] of BatchedForward, since
+// every one of those stages computes an output row from its own query row.
+func (a *MultiHeadAttention) clsForward(ws *Workspace, x, cls *Mat, offs, lens []int, masks [][]bool) *Mat {
+	q, k, v := a.Wq.Forward(ws, cls), a.Wk.Forward(ws, x), a.Wv.Forward(ws, x)
+	concat := ws.Get(cls.Rows, a.Dim)
+	a.attendPacked(ws, q, k, v, concat, offs, lens, masks, true)
+	return a.Wo.Forward(ws, concat)
+}
+
+// attendPacked runs the score/softmax/probs·V stage per sequence: sequence b
+// attends its own key and value rows [offs[b], offs[b]+lens[b]) with its own
+// mask. Its query rows (and the concat rows they write) are the same window,
+// or with clsOnly the single row b of q and concat.
+func (a *MultiHeadAttention) attendPacked(ws *Workspace, q, k, v, concat *Mat, offs, lens []int, masks [][]bool, clsOnly bool) {
 	scale := 1 / math.Sqrt(float64(a.dk))
 	for b := range offs {
 		ro, seq := offs[b], lens[b]
-		qv, kv := ws.View(q, ro, seq), ws.View(k, ro, seq)
+		qo, qn := ro, seq
+		if clsOnly {
+			qo, qn = b, 1
+		}
+		qv, kv := ws.View(q, qo, qn), ws.View(k, ro, seq)
 		for h := 0; h < a.Heads; h++ {
 			off := h * a.dk
-			scores := ws.Get(seq, seq)
+			scores := ws.Get(qn, seq)
 			AttnScoresSoftmax(qv, kv, off, a.dk, scale, masks[b], scores)
-			for i := 0; i < seq; i++ {
+			for i := 0; i < qn; i++ {
 				prow := scores.Row(i)
-				crow := concat.Row(ro + i)[off : off+a.dk]
+				crow := concat.Row(qo + i)[off : off+a.dk]
 				for j := 0; j < seq; j++ {
 					p := prow[j]
 					if p == 0 {
@@ -116,5 +138,4 @@ func (a *MultiHeadAttention) BatchedForward(ws *Workspace, x *Mat, offs, lens []
 			}
 		}
 	}
-	return a.Wo.Forward(ws, concat)
 }

@@ -29,6 +29,9 @@ func (c *Config) Validate() {
 	if c.Dim%c.Heads != 0 {
 		panic("nn: Dim must be divisible by Heads")
 	}
+	if c.Layers < 1 {
+		panic("nn: Layers must be at least 1")
+	}
 }
 
 // Encoder is a BERT-style transformer encoder: token + position + segment
@@ -53,6 +56,17 @@ type Encoder struct {
 	// Per-batched-pass scratch: row offsets and lengths of the packed
 	// sequences (see BatchedForward). Reused across calls.
 	batchOffs, batchLens []int
+
+	// clsOffs is the identity offset slice returned by
+	// BatchedForwardMultiPrefix (row b of its output is sequence b's [CLS]
+	// row); one holds ForwardWithPrefix's arguments as one-sequence slices
+	// for the shared inference loop. Both are reused across calls.
+	clsOffs []int
+	one     struct {
+		pcs        [1]*PrefixCache
+		sufs, segs [1][]int
+		masks      [1][]bool
+	}
 
 	// Batched-training caches (see batched_train.go): the per-sequence token,
 	// segment and mask slices of the last BatchedForwardTrain, consumed by
@@ -90,8 +104,6 @@ type encoderLayer struct {
 	ln1  *LayerNorm
 	ffn  *FFN
 	ln2  *LayerNorm
-
-	attnIn, ffnIn *Mat
 }
 
 // NewEncoder registers all parameters of the encoder in ps. Every encoder —
@@ -185,16 +197,19 @@ func (e *Encoder) embedRowsAt(x *Mat, rowOff int, tokens, segments []int, posOff
 // encode runs the transformer blocks over post-embedding states x.
 func (e *Encoder) encode(x *Mat, mask []bool) *Mat {
 	for _, l := range e.layers {
-		l.attnIn = x
-		h := l.attn.Forward(e.ws, x, mask)
-		h.AddInPlace(x)
-		x = l.ln1.Forward(e.ws, h)
-		l.ffnIn = x
-		f := l.ffn.Forward(e.ws, x)
-		f.AddInPlace(x)
-		x = l.ln2.Forward(e.ws, f)
+		x = l.postAttention(e.ws, l.attn.Forward(e.ws, x, mask), x)
 	}
 	return x
+}
+
+// postAttention finishes a block from its attention output h and input x:
+// residual, LayerNorm, FFN, residual, LayerNorm — every step row-local.
+func (l *encoderLayer) postAttention(ws *Workspace, h, x *Mat) *Mat {
+	h.AddInPlace(x)
+	x = l.ln1.Forward(ws, h)
+	f := l.ffn.Forward(ws, x)
+	f.AddInPlace(x)
+	return l.ln2.Forward(ws, f)
 }
 
 // PrefixCache holds the embedding-layer output (token+position+segment sums,
@@ -227,30 +242,22 @@ func (e *Encoder) EmbedPrefix(tokens, segments []int) *PrefixCache {
 // ForwardWithPrefix encodes the sequence prefix+suffix, reusing the cached
 // embedding rows of pc for the prefix and embedding only the suffix tokens
 // (which occupy absolute positions starting at pc.Len()). mask covers the
-// full sequence. The hidden states are bit-identical to
-// Forward(prefixTokens+sufTokens, ...): embeddings and LayerNorm are strictly
-// row-local, so cached prefix rows equal freshly computed ones. Inference
-// only — Backward after this pass is unsupported.
+// full sequence. It returns a 1×Dim matrix whose row 0 is the final [CLS]
+// state, bit-identical to row 0 of Forward(prefixTokens+sufTokens, ...):
+// embeddings and LayerNorm are strictly row-local, so cached prefix rows
+// equal freshly computed ones, and the last layer computes only the row the
+// heads read (see encodeInfer). It is the one-sequence case of
+// BatchedForwardMultiPrefix's loop. The result is workspace scratch, valid
+// until the next forward pass. Inference only — Backward after this pass is
+// unsupported.
 func (e *Encoder) ForwardWithPrefix(pc *PrefixCache, sufTokens, sufSegments []int, mask []bool) *Mat {
-	p := pc.Len()
-	seq := p + len(sufTokens)
-	if seq > e.Cfg.MaxSeqLen {
-		panic("nn: sequence exceeds MaxSeqLen")
-	}
 	e.mForward.Add(1)
 	e.mTokens.Add(int64(len(sufTokens))) // prefix rows are reused, not re-encoded
-	e.ws.Reset()
-	e.tokens, e.segments = nil, nil // poison Backward: inference only
-	e.batchTrain = false
-	d := e.Cfg.Dim
-	x := e.ws.Get(seq, d)
-	if len(sufTokens) > 0 {
-		sufX := e.embedRows(sufTokens, sufSegments, p)
-		sufN := e.embLN.Forward(e.ws, sufX)
-		copy(x.Data[p*d:], sufN.Data)
-	}
-	copy(x.Data[:p*d], pc.X.Data)
-	return e.encode(x, mask)
+	o := &e.one
+	o.pcs[0], o.sufs[0], o.segs[0], o.masks[0] = pc, sufTokens, sufSegments, mask
+	hidden, _ := e.forwardPrefixed(o.pcs[:], o.sufs[:], o.segs[:], o.masks[:])
+	o.pcs[0], o.sufs[0], o.segs[0], o.masks[0] = nil, nil, nil, nil // don't retain caller state
+	return hidden
 }
 
 // Backward accumulates gradients for the whole encoder from dL/dHidden.

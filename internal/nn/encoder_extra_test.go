@@ -36,13 +36,22 @@ func TestEncoderConfigDefaults(t *testing.T) {
 }
 
 func TestEncoderRejectsBadConfig(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on Dim % Heads != 0")
-		}
-	}()
-	c := Config{VocabSize: 5, MaxSeqLen: 4, Dim: 10, Heads: 3, Layers: 1}
-	c.Validate()
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"Dim % Heads != 0", Config{VocabSize: 5, MaxSeqLen: 4, Dim: 10, Heads: 3, Layers: 1}},
+		{"Layers < 1", Config{VocabSize: 5, MaxSeqLen: 4, Dim: 4, Heads: 2, Layers: 0}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("expected panic on %s", tc.name)
+				}
+			}()
+			tc.cfg.Validate()
+		}()
+	}
 }
 
 func TestEncoderRejectsTooLongSequence(t *testing.T) {

@@ -209,6 +209,13 @@ func TestAttnScoresSoftmaxMatchesReference(t *testing.T) {
 			out := dirty(rng, seq, seq)
 			AttnScoresSoftmax(q, k, off, dk, scale, mask, out)
 			assertBitEqual(t, "AttnScoresSoftmax", out, refAttnScores(q, k, off, dk, scale, mask))
+			// Non-square: the [CLS]-only last layer scores one query row
+			// against every key, which must be exactly row 0 of the square
+			// result.
+			cls := &Mat{Rows: 1, Cols: dim, Data: q.Row(0)}
+			row := dirty(rng, 1, seq)
+			AttnScoresSoftmax(cls, k, off, dk, scale, mask, row)
+			assertBitEqual(t, "AttnScoresSoftmax (1-row q)", row, &Mat{Rows: 1, Cols: seq, Data: out.Row(0)})
 		}
 	}
 }

@@ -154,16 +154,20 @@ func TMatMulInto(a, b, out *Mat) {
 // mask[j] == true, reading the head slice [off, off+dk) of every q/k row.
 // Masked columns receive probability exactly 0 and their key rows are never
 // read, which is bit-identical to scoring them -Inf and softmaxing (exp(-Inf)
-// contributes +0 to the row sum). out must be q.Rows×q.Rows; every element is
-// written. A row with no unmasked column would be all zeros rather than NaN,
-// but no caller produces one ([CLS] is always unmasked).
+// contributes +0 to the row sum). q may hold fewer rows than k — the
+// [CLS]-only last layer scores one query row against every key — and each
+// output row depends only on its own query row, so a 1-row q yields exactly
+// row 0 of the square result. out must be q.Rows×k.Rows and mask must cover
+// k.Rows; every element is written. A row with no unmasked column would be
+// all zeros rather than NaN, but no caller produces one ([CLS] is always
+// unmasked).
 func AttnScoresSoftmax(q, k *Mat, off, dk int, scale float64, mask []bool, out *Mat) {
-	seq := q.Rows
-	for i := 0; i < seq; i++ {
+	keys := k.Rows
+	for i := 0; i < q.Rows; i++ {
 		qi := q.Row(i)[off : off+dk]
 		row := out.Row(i)
 		max := math.Inf(-1)
-		for j := 0; j < seq; j++ {
+		for j := 0; j < keys; j++ {
 			if !mask[j] {
 				row[j] = 0
 				continue
@@ -180,7 +184,7 @@ func AttnScoresSoftmax(q, k *Mat, off, dk int, scale float64, mask []bool, out *
 			}
 		}
 		sum := 0.0
-		for j := 0; j < seq; j++ {
+		for j := 0; j < keys; j++ {
 			if !mask[j] {
 				continue
 			}
@@ -188,7 +192,7 @@ func AttnScoresSoftmax(q, k *Mat, off, dk int, scale float64, mask []bool, out *
 			row[j] = e
 			sum += e
 		}
-		for j := 0; j < seq; j++ {
+		for j := 0; j < keys; j++ {
 			if mask[j] {
 				row[j] /= sum
 			}

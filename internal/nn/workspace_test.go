@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func TestWorkspaceRecyclesByShape(t *testing.T) {
@@ -146,36 +148,82 @@ func TestReplicaWorkspacesIndependent(t *testing.T) {
 	}
 }
 
+// TestForwardWithPrefixMatchesForward property-tests the prefix-reuse
+// inference pass against the training Forward: over layer counts, head
+// counts and random prefix/suffix splits, ForwardWithPrefix's 1×Dim result
+// must equal row 0 ([CLS]) of Forward over the same tokens padded with junk
+// to a random length, bit for bit. This covers both shortcuts of the
+// inference pass at once — prefix rows from the cache, and a last layer
+// computed on the [CLS] row only — plus the masking of padded keys.
 func TestForwardWithPrefixMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	ps := &Params{}
-	enc := NewEncoder(Config{
-		VocabSize: 60, MaxSeqLen: 20, Dim: 16, Heads: 2, Layers: 2, FFNHidden: 32,
-	}, ps, rng)
-	prefix := []int{2, 8, 14, 3, 21, 3}
-	prefixSeg := []int{0, 0, 0, 0, 1, 1}
-	pc := enc.EmbedPrefix(prefix, prefixSeg)
-	for trial := 0; trial < 5; trial++ {
-		sufLen := 1 + rng.Intn(6)
-		suf := make([]int, sufLen)
-		sufSeg := make([]int, sufLen)
-		for i := range suf {
-			suf[i] = rng.Intn(60)
-			sufSeg[i] = 1
+	const vocab, maxSeq = 60, 20
+	for _, layers := range []int{1, 2, 3} {
+		for _, heads := range []int{1, 2, 4} {
+			enc := NewEncoder(Config{
+				VocabSize: vocab, MaxSeqLen: maxSeq, Dim: 16, Heads: heads, Layers: layers,
+				FFNHidden: 32, Segments: 3,
+			}, &Params{}, rng)
+			for trial := 0; trial < 6; trial++ {
+				pLen := 1 + rng.Intn(maxSeq-1)
+				sLen := rng.Intn(maxSeq - pLen + 1) // 0 = prefix-only sequence
+				real := pLen + sLen
+				padded := real + rng.Intn(maxSeq-real+1)
+				tokens, segs, mask := randSeq(rng, padded, vocab, 3)
+				for i := range mask {
+					mask[i] = i < real
+				}
+				pc := enc.EmbedPrefix(tokens[:pLen], segs[:pLen])
+				want := enc.Forward(tokens, segs, mask).Clone()
+				got := enc.ForwardWithPrefix(pc, tokens[pLen:real], segs[pLen:real], mask[:real])
+				if got.Rows != 1 || got.Cols != enc.Cfg.Dim {
+					t.Fatalf("ForwardWithPrefix returned %d×%d, want 1×%d", got.Rows, got.Cols, enc.Cfg.Dim)
+				}
+				for j, w := range want.Row(0) {
+					if math.Float64bits(got.Data[j]) != math.Float64bits(w) {
+						t.Fatalf("layers=%d heads=%d prefix=%d suffix=%d padded=%d: [CLS] col %d: %v vs Forward %v",
+							layers, heads, pLen, sLen, padded, j, got.Data[j], w)
+					}
+				}
+			}
 		}
-		full := append(append([]int{}, prefix...), suf...)
-		fullSeg := append(append([]int{}, prefixSeg...), sufSeg...)
-		mask := make([]bool, len(full))
+	}
+}
+
+// TestForwardWithPrefixZeroAllocs pins a warmed prefix-reuse inference pass
+// plus its head readout — the per-fact step of RankOn — to 0 allocs/op, both
+// with the no-op metrics default and with a live registry installed before
+// the encoder is built (so its counter handles are live). scripts/ci.sh fails
+// if this test is skipped.
+func TestForwardWithPrefixZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	for _, instrumented := range []bool{false, true} {
+		if instrumented {
+			obs.Install(obs.NewRun("alloc-test", obs.NewRegistry(), nil, nil))
+		}
+		rng := rand.New(rand.NewSource(23))
+		ps := &Params{}
+		enc := NewEncoder(Config{
+			VocabSize: 50, MaxSeqLen: 16, Dim: 16, Heads: 2, Layers: 2, FFNHidden: 32, Segments: 3,
+		}, ps, rng)
+		head := NewRegressionHead(ps, "head", 16, rng)
+		pc := enc.EmbedPrefix([]int{2, 5, 9, 3, 11, 3}, []int{0, 0, 0, 0, 1, 1})
+		suf, sufSeg := []int{7, 8, 4, 3}, []int{2, 2, 2, 2}
+		mask := make([]bool, pc.Len()+len(suf))
 		for i := range mask {
 			mask[i] = true
 		}
-		want := enc.Forward(full, fullSeg, mask).Clone()
-		got := enc.ForwardWithPrefix(pc, suf, sufSeg, mask)
-		for i := range want.Data {
-			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
-				t.Fatalf("trial %d: prefix-reuse hidden state differs at %d: %v vs %v",
-					trial, i, got.Data[i], want.Data[i])
-			}
+		step := func() { head.ForwardAt(enc.ForwardWithPrefix(pc, suf, sufSeg, mask), 0) }
+		step()
+		step() // warm: every scratch shape and view header pooled
+		allocs := testing.AllocsPerRun(20, step)
+		if instrumented {
+			obs.Uninstall()
+		}
+		if allocs != 0 {
+			t.Errorf("instrumented=%v: warmed ForwardWithPrefix allocates %v objects/op, want 0", instrumented, allocs)
 		}
 	}
 }

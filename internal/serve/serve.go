@@ -15,9 +15,12 @@
 // after the first one arrived. A batch fans out across per-worker model
 // replicas (core.Model.CloneForWorker: shared read-only weights, private
 // activation workspaces), and each lineage is scored through Model.RankOn —
-// the shared-prefix packed path, so with Config.RankBatch > 1 every lineage's
-// facts run as a few large nn.BatchedForwardMultiPrefix GEMM passes on a
-// warmed, zero-allocation workspace.
+// the shared-prefix path: every fact reuses an embedded prefix cache (the
+// lineage's own, or the one of its trimmed (q, t) shape when truncation
+// reaches the prefix), and the encoder's last layer runs on [CLS] rows only.
+// With Config.RankBatch > 1 every lineage's facts run as a few large
+// nn.BatchedForwardMultiPrefix GEMM passes on a warmed, zero-allocation
+// workspace.
 //
 // Determinism: replicas produce bit-identical scores to their parent
 // (core.ConcurrentRanker contract), and batching only changes which replica
@@ -318,8 +321,9 @@ func (s *Server) observeRanking(vals shapley.Values) {
 	}
 }
 
-// updatePrefixRate refreshes the serve.prefix_hit_rate gauge from the shared
-// prefix-reuse counters (no-op without a live registry).
+// updatePrefixRate refreshes the serve.prefix_hit_rate gauge — the share of
+// facts scored against their lineage's untrimmed prefix rather than a trimmed
+// one — from the shared prefix counters (no-op without a live registry).
 func (s *Server) updatePrefixRate() {
 	hits, fb := s.cPrefixHits.Value(), s.cPrefixFb.Value()
 	if total := hits + fb; total > 0 {

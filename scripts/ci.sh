@@ -90,6 +90,9 @@ gate ./internal/nn TestBlockedKernelsZeroAllocs
 # The prefix-sharing multi-prefix pass, which every batched ranking call and
 # the packed serving dispatch run on.
 gate ./internal/nn TestMultiPrefixZeroAllocs
+# The per-fact prefix-reuse pass ([CLS]-only last layer) plus its head
+# readout, with and without a live metrics registry.
+gate ./internal/nn TestForwardWithPrefixZeroAllocs
 
 echo "== sampler-vs-exact parity gate =="
 # Every approximate labeling engine (mc, amc, stratified) must hold Spearman
