@@ -30,8 +30,6 @@ func main() {
 	labelSeed := flag.Uint64("label-seed", 1, "base seed for sampling labelers; corpora are byte-identical for a fixed seed at every -workers")
 	labelFallback := flag.String("label-fallback", "mc", "sampler labeling the lineages the exact engine refuses (too large); \"none\" drops them instead")
 	export := flag.String("export", "", "write the labeled corpus as JSON to this path (suffixed with the database name when -db both)")
-	rankBatch := flag.Int("rank-batch", 0, "accepted for CLI uniformity with the ranking commands; corpus generation performs no ranking, so the value is only recorded in the run manifest")
-	trainBatch := flag.Int("train-batch", 0, "accepted for CLI uniformity with the training commands; corpus generation performs no training, so the value is only recorded in the run manifest")
 	o := obs.AddFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -43,8 +41,6 @@ func main() {
 	rn.SetConfig("seed", *seed)
 	rn.SetConfig("scale", *scale)
 	rn.SetConfig("workers", *workers)
-	rn.SetConfig("rank_batch", *rankBatch)
-	rn.SetConfig("train_batch", *trainBatch)
 	rn.SetConfig("labeler", *labeler)
 	rn.SetConfig("label_samples", *labelSamples)
 	rn.SetConfig("label_seed", *labelSeed)

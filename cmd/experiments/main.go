@@ -24,7 +24,6 @@ func main() {
 	only := flag.String("only", "", "comma-separated artifact list (e.g. table1,figure9); empty = all")
 	workers := flag.Int("workers", 0, "worker goroutines for corpus building, training and evaluation (0 = one per CPU); results are identical for every value")
 	rankBatch := flag.Int("rank-batch", 0, "pack up to this many lineage facts per batched encoder pass when ranking (0 or 1 = per-fact); results are identical for every value")
-	trainBatch := flag.Int("train-batch", 0, "pack up to this many samples per batched encoder training pass (0 = replica per sample); results are identical for every value")
 	o := obs.AddFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -38,7 +37,6 @@ func main() {
 		cfg.Workers = *workers
 	}
 	cfg.RankBatch = *rankBatch
-	cfg.TrainBatch = *trainBatch
 	// Start observability before NewSuite: hot-path metric handles resolve
 	// against the registry installed here.
 	rn := o.Start("experiments")
@@ -47,7 +45,6 @@ func main() {
 	rn.SetConfig("only", *only)
 	rn.SetConfig("workers", cfg.Workers)
 	rn.SetConfig("rank_batch", cfg.RankBatch)
-	rn.SetConfig("train_batch", cfg.TrainBatch)
 	rn.SetConfig("queries_per_db", cfg.QueriesPerDB)
 	rn.SetConfig("scale", cfg.Scale.Base)
 

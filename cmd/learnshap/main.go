@@ -34,7 +34,6 @@ func main() {
 	loadPath := flag.String("load", "", "load a trained model instead of training")
 	workers := flag.Int("workers", 0, "worker goroutines for corpus building and training (0 = one per CPU); results are identical for every value")
 	rankBatch := flag.Int("rank-batch", 0, "pack up to this many lineage facts per batched encoder pass when ranking (0 or 1 = per-fact); scores are identical for every value")
-	trainBatch := flag.Int("train-batch", 0, "pack up to this many samples per batched encoder training pass (0 = replica per sample); trained weights are identical for every value")
 	o := obs.AddFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -47,7 +46,6 @@ func main() {
 	rn.SetConfig("seed", *seed)
 	rn.SetConfig("workers", *workers)
 	rn.SetConfig("rank_batch", *rankBatch)
-	rn.SetConfig("train_batch", *trainBatch)
 
 	kind := dataset.Academic
 	if *kindFlag == "imdb" {
@@ -80,7 +78,6 @@ func main() {
 	}
 	cfg.Workers = *workers
 	cfg.RankBatch = *rankBatch
-	cfg.TrainBatch = *trainBatch
 
 	var model *core.Model
 	if *loadPath != "" {

@@ -35,7 +35,6 @@ func main() {
 	labelSamples := flag.Int("label-samples", 0, "permutation budget per lineage for sampling labelers (0 = engine default)")
 	labelSeed := flag.Uint64("label-seed", 1, "base seed for sampling labelers")
 	rankBatch := flag.Int("rank-batch", 0, "pack up to this many lineage facts per batched encoder pass when ranking (0 or 1 = per-fact); scores are identical for every value")
-	trainBatch := flag.Int("train-batch", 0, "pack up to this many samples per batched encoder training pass (0 = replica per sample); trained weights are identical for every value")
 	o := obs.AddFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -55,7 +54,6 @@ func main() {
 	rn.SetConfig("label_samples", *labelSamples)
 	rn.SetConfig("label_seed", *labelSeed)
 	rn.SetConfig("rank_batch", *rankBatch)
-	rn.SetConfig("train_batch", *trainBatch)
 
 	kind := dataset.Academic
 	if *kindFlag == "imdb" {
@@ -99,7 +97,6 @@ func main() {
 	cfg.PretrainPairsPerEpoch = *ppairs
 	cfg.Workers = *workers
 	cfg.RankBatch = *rankBatch
-	cfg.TrainBatch = *trainBatch
 	if !*pretrain {
 		cfg.PretrainMetrics = nil
 		cfg.PretrainEpochs = 0

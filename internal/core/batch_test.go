@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/shapley"
 )
@@ -31,10 +30,8 @@ func assertValuesBitEqual(t *testing.T, label string, got, want shapley.Values) 
 // TestRankOnBatchedGolden is the golden bit-identity test for the batched
 // ranking path: RankOn with RankBatch > 1 must score every lineage fact
 // bit-for-bit identically to the per-fact prefix path, across chunk sizes
-// (spanning lineages smaller, equal to and larger than the chunk) and intra-op
-// worker counts.
+// (spanning lineages smaller, equal to and larger than the chunk).
 func TestRankOnBatchedGolden(t *testing.T) {
-	t.Cleanup(func() { nn.SetIntraOp(1, 0) })
 	c, _ := tinyCorpus(t)
 	cfg := tinyConfig()
 	tok := buildVocabulary(c, cfg)
@@ -49,13 +46,10 @@ func TestRankOnBatchedGolden(t *testing.T) {
 	for i, in := range ins {
 		want[i] = m.RankOn(c.DB, in)
 	}
-	for _, workers := range []int{1, 2, 3} {
-		nn.SetIntraOp(workers, 8)
-		for _, batch := range []int{2, 3, 8, 64} {
-			m.Cfg.RankBatch = batch
-			for i, in := range ins {
-				assertValuesBitEqual(t, "batched", m.RankOn(c.DB, in), want[i])
-			}
+	for _, batch := range []int{2, 3, 8, 64} {
+		m.Cfg.RankBatch = batch
+		for i, in := range ins {
+			assertValuesBitEqual(t, "batched", m.RankOn(c.DB, in), want[i])
 		}
 	}
 }

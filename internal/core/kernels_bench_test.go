@@ -2,13 +2,10 @@ package core
 
 import (
 	"math/rand"
-	"os"
-	"strconv"
 	"sync"
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/nn"
 )
 
 // Shared fixture for the end-to-end ranking benchmarks: an (untrained —
@@ -72,24 +69,13 @@ func BenchmarkRankLineagePrefix(b *testing.B) {
 }
 
 // BenchmarkRankLineageBatched ranks the same cases through the packed batched
-// path (RankBatch chunks of 8), with intra-op GEMM parallelism taken from
-// REPRO_WORKERS (default 1 = serial). Bit-identical outputs
+// path (RankBatch chunks of 8). Bit-identical outputs
 // (TestRankOnBatchedGolden); compare against BenchmarkRankLineagePrefix for
 // the packing win.
 func BenchmarkRankLineageBatched(b *testing.B) {
 	benchRankSetup(b)
-	workers := 1
-	if v := os.Getenv("REPRO_WORKERS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			workers = n
-		}
-	}
-	nn.SetIntraOp(workers, 0)
 	benchRank.m.Cfg.RankBatch = 8
-	defer func() {
-		nn.SetIntraOp(1, 0)
-		benchRank.m.Cfg.RankBatch = 0
-	}()
+	defer func() { benchRank.m.Cfg.RankBatch = 0 }()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -104,21 +90,11 @@ func BenchmarkRankLineageBatched(b *testing.B) {
 // share one RankBatch packing budget (multi-prefix chunks). Bit-identical
 // outputs (TestRankManyGolden); compare against BenchmarkRankLineageBatched
 // (the same inputs as per-request RankOn calls) for the cross-request
-// packing effect at equal intra-op settings.
+// packing effect.
 func BenchmarkRankManyBatched(b *testing.B) {
 	benchRankSetup(b)
-	workers := 1
-	if v := os.Getenv("REPRO_WORKERS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			workers = n
-		}
-	}
-	nn.SetIntraOp(workers, 0)
 	benchRank.m.Cfg.RankBatch = 8
-	defer func() {
-		nn.SetIntraOp(1, 0)
-		benchRank.m.Cfg.RankBatch = 0
-	}()
+	defer func() { benchRank.m.Cfg.RankBatch = 0 }()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -74,14 +74,6 @@ type ModelConfig struct {
 	// GEMMs instead of one small GEMM per fact. 0 or 1 keeps the per-fact
 	// prefix-reuse path. Scores are bit-identical either way (see rankmany.go).
 	RankBatch int
-	// TrainBatch > 0 routes pretrain/finetune mini-batches through the packed
-	// batched training path (nn.BatchedStep): up to TrainBatch sequences are
-	// packed into one [ΣT×Dim] forward+backward per step, so each layer's
-	// Q/K/V/FFN forward and dL/dx gradient GEMMs run as a few large matrix
-	// products under the intra-op pool instead of one small GEMM per sample.
-	// 0 keeps the replica-per-sample path. Trained weights, dev curves and the
-	// TrainReport are bit-identical either way (see train_batched.go).
-	TrainBatch int
 }
 
 // BaseConfig is LearnShapley-base at bench scale.
@@ -155,11 +147,6 @@ type Model struct {
 	// Token-cache effectiveness counters (no-op without a live registry).
 	mTupleHits, mTupleMisses *obs.Counter
 	mFactHits, mFactMisses   *obs.Counter
-
-	// Packed-training slot buffers: slot i holds chunk sequence i's packed
-	// tokens between Pack and the encoder's BatchedStep (train_batched.go).
-	trainToks, trainSegs [][]int
-	trainMasks           [][]bool
 }
 
 // NumWeights reports the total scalar parameter count.

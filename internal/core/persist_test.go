@@ -75,11 +75,12 @@ func TestLoadModelRejectsTamperedWeights(t *testing.T) {
 	}
 }
 
-// TestLoadModelIgnoresLegacyPrecision loads a checkpoint written before the
-// f32/int8 inference tiers were removed: its gob still carries
-// ModelConfig.Precision. gob drops fields the destination type lacks, so the
+// TestLoadModelIgnoresLegacyPrecision loads checkpoints written before
+// ModelConfig fields were removed: Precision (the f32/int8 inference tiers)
+// and TrainBatch (packed training, saved as 8 by cmd/serve). Their gobs still
+// carry the field. gob drops fields the destination type lacks, so each
 // checkpoint must load and rank bit-identically to the same model saved
-// without the field.
+// without it.
 func TestLoadModelIgnoresLegacyPrecision(t *testing.T) {
 	c, _ := tinyCorpus(t)
 	cfg := tinyConfig()
@@ -88,47 +89,57 @@ func TestLoadModelIgnoresLegacyPrecision(t *testing.T) {
 	if err := m.Save(&plain); err != nil {
 		t.Fatal(err)
 	}
-
-	// The legacy payload: savedModel with Cfg widened by a Precision string.
-	cfgT := reflect.TypeOf(m.Cfg)
-	fields := make([]reflect.StructField, 0, cfgT.NumField()+1)
-	for i := 0; i < cfgT.NumField(); i++ {
-		fields = append(fields, cfgT.Field(i))
-	}
-	fields = append(fields, reflect.StructField{Name: "Precision", Type: reflect.TypeOf("")})
-	legacyCfg := reflect.New(reflect.StructOf(fields)).Elem()
-	for i := 0; i < cfgT.NumField(); i++ {
-		legacyCfg.Field(i).Set(reflect.ValueOf(m.Cfg).Field(i))
-	}
-	legacyCfg.FieldByName("Precision").SetString("int8")
-	payload := reflect.New(reflect.StructOf([]reflect.StructField{
-		{Name: "Version", Type: reflect.TypeOf(0)},
-		{Name: "Cfg", Type: legacyCfg.Type()},
-		{Name: "Words", Type: reflect.TypeOf([]string(nil))},
-		{Name: "Weights", Type: reflect.TypeOf([][]float64(nil))},
-	})).Elem()
-	payload.Field(0).SetInt(persistVersion)
-	payload.Field(1).Set(legacyCfg)
-	payload.Field(2).Set(reflect.ValueOf(m.tok.Words()))
-	payload.Field(3).Set(reflect.ValueOf(m.params.Snapshot()))
-	var legacy bytes.Buffer
-	if err := gob.NewEncoder(&legacy).Encode(payload.Addr().Interface()); err != nil {
-		t.Fatal(err)
-	}
-
 	want, err := LoadModel(&plain, c.DB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadModel(&legacy, c.DB)
-	if err != nil {
-		t.Fatalf("legacy checkpoint with Precision field: %v", err)
-	}
-	if !reflect.DeepEqual(got.Cfg, want.Cfg) {
-		t.Fatalf("loaded config %+v, want %+v", got.Cfg, want.Cfg)
-	}
-	for _, in := range caseInputs(c) {
-		assertValuesBitEqual(t, "legacy checkpoint", got.RankOn(c.DB, in), want.RankOn(c.DB, in))
+
+	for _, legacy := range []struct {
+		field string
+		value any
+	}{
+		{"Precision", "int8"},
+		{"TrainBatch", 8},
+	} {
+		t.Run(legacy.field, func(t *testing.T) {
+			// The legacy payload: savedModel with Cfg widened by the field.
+			cfgT := reflect.TypeOf(m.Cfg)
+			fields := make([]reflect.StructField, 0, cfgT.NumField()+1)
+			for i := 0; i < cfgT.NumField(); i++ {
+				fields = append(fields, cfgT.Field(i))
+			}
+			fields = append(fields, reflect.StructField{Name: legacy.field, Type: reflect.TypeOf(legacy.value)})
+			legacyCfg := reflect.New(reflect.StructOf(fields)).Elem()
+			for i := 0; i < cfgT.NumField(); i++ {
+				legacyCfg.Field(i).Set(reflect.ValueOf(m.Cfg).Field(i))
+			}
+			legacyCfg.FieldByName(legacy.field).Set(reflect.ValueOf(legacy.value))
+			payload := reflect.New(reflect.StructOf([]reflect.StructField{
+				{Name: "Version", Type: reflect.TypeOf(0)},
+				{Name: "Cfg", Type: legacyCfg.Type()},
+				{Name: "Words", Type: reflect.TypeOf([]string(nil))},
+				{Name: "Weights", Type: reflect.TypeOf([][]float64(nil))},
+			})).Elem()
+			payload.Field(0).SetInt(persistVersion)
+			payload.Field(1).Set(legacyCfg)
+			payload.Field(2).Set(reflect.ValueOf(m.tok.Words()))
+			payload.Field(3).Set(reflect.ValueOf(m.params.Snapshot()))
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(payload.Addr().Interface()); err != nil {
+				t.Fatal(err)
+			}
+
+			got, err := LoadModel(&buf, c.DB)
+			if err != nil {
+				t.Fatalf("legacy checkpoint with %s field: %v", legacy.field, err)
+			}
+			if !reflect.DeepEqual(got.Cfg, want.Cfg) {
+				t.Fatalf("loaded config %+v, want %+v", got.Cfg, want.Cfg)
+			}
+			for _, in := range caseInputs(c) {
+				assertValuesBitEqual(t, "legacy checkpoint", got.RankOn(c.DB, in), want.RankOn(c.DB, in))
+			}
+		})
 	}
 }
 

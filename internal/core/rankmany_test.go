@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/shapley"
 )
@@ -13,10 +12,8 @@ import (
 // packing: RankManyOn over all corpus lineages at once must score every fact
 // bit-for-bit identically to independent per-request RankOn calls with
 // batching off, across chunk sizes (smaller than, equal to and spanning
-// lineages — chunks then mix facts of different lineages in one pass) and
-// intra-op worker counts.
+// lineages — chunks then mix facts of different lineages in one pass).
 func TestRankManyGolden(t *testing.T) {
-	t.Cleanup(func() { nn.SetIntraOp(1, 0) })
 	c, _ := tinyCorpus(t)
 	cfg := tinyConfig()
 	tok := buildVocabulary(c, cfg)
@@ -31,21 +28,18 @@ func TestRankManyGolden(t *testing.T) {
 	for i, in := range ins {
 		want[i] = m.RankOn(c.DB, in)
 	}
-	for _, workers := range []int{1, 2, 3} {
-		nn.SetIntraOp(workers, 8)
-		for _, batch := range []int{2, 3, 8, 64} {
-			m.Cfg.RankBatch = batch
-			got := m.RankManyOn(c.DB, ins)
-			for i := range ins {
-				assertValuesBitEqual(t, "rankmany", got[i], want[i])
-			}
-		}
-		// RankBatch <= 1: nothing to pack, every input takes the plain path.
-		m.Cfg.RankBatch = 0
+	for _, batch := range []int{2, 3, 8, 64} {
+		m.Cfg.RankBatch = batch
 		got := m.RankManyOn(c.DB, ins)
 		for i := range ins {
-			assertValuesBitEqual(t, "rankmany-unbatched", got[i], want[i])
+			assertValuesBitEqual(t, "rankmany", got[i], want[i])
 		}
+	}
+	// RankBatch <= 1: nothing to pack, every input takes the plain path.
+	m.Cfg.RankBatch = 0
+	got := m.RankManyOn(c.DB, ins)
+	for i := range ins {
+		assertValuesBitEqual(t, "rankmany-unbatched", got[i], want[i])
 	}
 }
 
@@ -82,8 +76,7 @@ func TestRankManyTruncatedGolden(t *testing.T) {
 // same prefixFor rule as per-request ranking (identical core.rank.* counters)
 // and pins the cross-request pass metrics: every fact, trimmed prefix or
 // not, flows through a multi-prefix pass, so nn.mbatch.sequences equals
-// hits + fallbacks, and the packed-training nn.batch.* counters stay
-// untouched.
+// hits + fallbacks.
 func TestRankManyCounterAgreement(t *testing.T) {
 	c, _ := tinyCorpus(t)
 	cfg := tinyConfig()
@@ -130,8 +123,5 @@ func TestRankManyCounterAgreement(t *testing.T) {
 	}
 	if many.Counters["nn.mbatch.prefixes"] < many.Counters["nn.mbatch.passes"] {
 		t.Error("every multi-prefix pass spans at least one lineage group")
-	}
-	if many.Counters["nn.batch.passes"] != 0 {
-		t.Error("RankMany must route packing through the multi-prefix kernel, not BatchedForward")
 	}
 }

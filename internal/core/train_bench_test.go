@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/nn"
 )
 
 // Shared fixture for the end-to-end training benchmarks: a small IMDB corpus
@@ -63,26 +62,6 @@ func BenchmarkTrainReplica(b *testing.B) {
 	benchTrainSetup(b)
 	cfg := benchTrainConfig()
 	cfg.Workers = benchWorkers()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Train(benchTrain.c, benchTrain.sims, cfg, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTrainBatched trains the same schedule through the packed batched
-// path (TrainBatch chunks of 8) with intra-op GEMM parallelism across
-// REPRO_WORKERS threads. Weights are bit-identical to BenchmarkTrainReplica's
-// (TestTrainBatchedParity); compare ns/op for the packing win.
-func BenchmarkTrainBatched(b *testing.B) {
-	benchTrainSetup(b)
-	cfg := benchTrainConfig()
-	cfg.Workers = benchWorkers()
-	cfg.TrainBatch = 8
-	nn.SetIntraOp(benchWorkers(), 0)
-	defer nn.SetIntraOp(1, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -41,11 +41,6 @@ type Config struct {
 	// Scores are bit-identical for every value. NewSuite copies it into the
 	// model configs; evaluation replicas inherit it via CloneForWorker.
 	RankBatch int
-	// TrainBatch > 0 routes pretrain/finetune mini-batches through the packed
-	// batched training path in chunks of up to TrainBatch samples (see
-	// core.ModelConfig). Trained weights are bit-identical for every value.
-	// NewSuite copies it into the model configs.
-	TrainBatch int
 }
 
 // BenchConfig is the scale used by `go test -bench`: minutes of CPU, every
@@ -117,8 +112,6 @@ func NewSuite(cfg Config) (*Suite, error) {
 	cfg.Large.Workers = cfg.Workers
 	cfg.Base.RankBatch = cfg.RankBatch
 	cfg.Large.RankBatch = cfg.RankBatch
-	cfg.Base.TrainBatch = cfg.TrainBatch
-	cfg.Large.TrainBatch = cfg.TrainBatch
 	s := &Suite{Cfg: cfg, models: make(map[string]*core.Model), reports: make(map[string]*core.TrainReport)}
 	for _, kind := range []dataset.Kind{dataset.IMDB, dataset.Academic} {
 		dc := dataset.DefaultConfig(kind)

@@ -14,59 +14,14 @@ import "math"
 //     row alone;
 //   - the GEMM kernels accumulate each output row independently in k-order
 //     (see MatMulInto), so packing rows changes which rows share a matrix,
-//     never how any row is computed — and the row-partitioned Par variants
-//     preserve that per-row order for every intra-op worker count;
+//     never how any row is computed;
 //   - attention runs the exact per-sequence kernel (AttnScoresSoftmax plus
 //     the probs·V accumulation of the single-sequence path) on views of the
 //     packed Q/K/V, with each sequence's own mask.
 //
-// Like ForwardWithPrefix, the batched passes are inference-only: they poison
-// the encoder's Backward caches. BatchedForwardMultiPrefix (multiprefix.go)
-// is the prefix-sharing variant the rankers use.
-
-// BatchedForward encodes B sequences in one packed pass. tokens, segments
-// and masks hold one per-sequence slice each (equal lengths per sequence,
-// every sequence ≤ MaxSeqLen; masks mark real positions). It returns the
-// packed hidden states [ΣT×Dim] and the per-sequence row offsets: sequence
-// b's hidden rows are offsets[b] through offsets[b]+len(tokens[b])-1, with
-// its [CLS] representation at row offsets[b]. Both return values are scratch
-// of the encoder, valid until its next forward pass. Hidden states are
-// bit-identical to B independent Forward calls.
-func (e *Encoder) BatchedForward(tokens, segments [][]int, masks [][]bool) (*Mat, []int) {
-	total := 0
-	e.batchOffs, e.batchLens = e.batchOffs[:0], e.batchLens[:0]
-	for b := range tokens {
-		if len(tokens[b]) > e.Cfg.MaxSeqLen {
-			panic("nn: sequence exceeds MaxSeqLen")
-		}
-		e.batchOffs = append(e.batchOffs, total)
-		e.batchLens = append(e.batchLens, len(tokens[b]))
-		total += len(tokens[b])
-	}
-	if total == 0 {
-		panic("nn: empty batch")
-	}
-	e.recordBatch(len(tokens), total)
-	e.ws.Reset()
-	e.tokens, e.segments = nil, nil // poison Backward: inference only
-	e.batchTrain = false            // and BatchedBackward: the sublayer caches are not populated
-	x := e.ws.Get(total, e.Cfg.Dim)
-	for b := range tokens {
-		e.embedRowsAt(x, e.batchOffs[b], tokens[b], segments[b], 0)
-	}
-	x = e.embLN.Forward(e.ws, x)
-	return e.encodeBatch(e.layers, x, masks), e.batchOffs
-}
-
-// recordBatch bumps the batched-pass metrics; tokens counts only rows that
-// are actually embedded this pass.
-func (e *Encoder) recordBatch(seqs, tokens int) {
-	e.mForward.Add(int64(seqs))
-	e.mTokens.Add(int64(tokens))
-	e.mBatchPasses.Add(1)
-	e.mBatchSeqs.Add(int64(seqs))
-	e.hBatchSize.Observe(float64(seqs))
-}
+// The packed passes are inference-only: they poison the encoder's Backward
+// caches. BatchedForwardMultiPrefix (multiprefix.go) is the entry point the
+// rankers use; the helpers below are its layer loop.
 
 // encodeBatch runs the given transformer blocks over the packed
 // post-embedding states. Everything except attention is row-local and runs

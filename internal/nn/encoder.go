@@ -54,7 +54,7 @@ type Encoder struct {
 	tokens, segments []int
 
 	// Per-batched-pass scratch: row offsets and lengths of the packed
-	// sequences (see BatchedForward). Reused across calls.
+	// sequences (see forwardPrefixed). Reused across calls.
 	batchOffs, batchLens []int
 
 	// clsOffs is the identity offset slice returned by
@@ -68,32 +68,11 @@ type Encoder struct {
 		masks      [1][]bool
 	}
 
-	// Batched-training caches (see batched_train.go): the per-sequence token,
-	// segment and mask slices of the last BatchedForwardTrain, consumed by
-	// BatchedBackward for the embedding scatter and the per-sequence attention
-	// backward. batchTrain guards against calling BatchedBackward after an
-	// inference-only pass (which does not populate the sublayer caches).
-	batchTokens, batchSegments [][]int
-	batchMasks                 [][]bool
-	batchTrain                 bool
-
-	// Per-sample staging for the batched embedding backward: dense token and
-	// segment gradient accumulators (tokStage indexed like tokEmb.G, with
-	// tokTouched/tokMark tracking the rows dirtied by the current sample so
-	// clearing stays O(seq), not O(vocab)). Allocated lazily on the first
-	// batched backward; see batchedEmbedBackward for why staging is needed.
-	tokStage, segStage []float64
-	tokTouched         []int
-	tokMark            []bool
-
 	// Metric handles, resolved once at construction against the registry
 	// installed at the time (nil handles — the no-op recorder — otherwise).
 	// Same-name handles share storage, so replicas aggregate into one metric
 	// and each increment stays a single atomic add: 0 bytes, O(1) per step.
 	mForward, mBackward, mTokens *obs.Counter
-	mBatchPasses, mBatchSeqs     *obs.Counter
-	mBatchTrain                  *obs.Counter
-	hBatchSize                   *obs.Histogram
 	mMBatchPasses, mMBatchSeqs   *obs.Counter
 	mMBatchPrefixes              *obs.Counter
 	hMBatchSize                  *obs.Histogram
@@ -123,10 +102,6 @@ func NewEncoder(cfg Config, ps *Params, rng *rand.Rand) *Encoder {
 	e.mForward = reg.Counter("nn.encoder.forward_passes")
 	e.mBackward = reg.Counter("nn.encoder.backward_passes")
 	e.mTokens = reg.Counter("nn.encoder.tokens")
-	e.mBatchPasses = reg.Counter("nn.batch.passes")
-	e.mBatchSeqs = reg.Counter("nn.batch.sequences")
-	e.mBatchTrain = reg.Counter("nn.batch.train_passes")
-	e.hBatchSize = reg.Histogram("nn.batch.size", obs.ExpBuckets(1, 2, 8))
 	e.mMBatchPasses = reg.Counter("nn.mbatch.passes")
 	e.mMBatchSeqs = reg.Counter("nn.mbatch.sequences")
 	e.mMBatchPrefixes = reg.Counter("nn.mbatch.prefixes")
@@ -162,7 +137,6 @@ func (e *Encoder) Forward(tokens, segments []int, mask []bool) *Mat {
 	e.mTokens.Add(int64(len(tokens)))
 	e.ws.Reset()
 	e.tokens, e.segments = tokens, segments
-	e.batchTrain = false // packed BatchedBackward is invalid after a single-sequence pass
 	x := e.embedRows(tokens, segments, 0)
 	x = e.embLN.Forward(e.ws, x)
 	return e.encode(x, mask)
@@ -234,7 +208,6 @@ func (e *Encoder) EmbedPrefix(tokens, segments []int) *PrefixCache {
 		panic("nn: prefix exceeds MaxSeqLen")
 	}
 	e.ws.Reset()
-	e.batchTrain = false // clobbers the embedding LayerNorm caches: inference only
 	x := e.embedRows(tokens, segments, 0)
 	return &PrefixCache{X: e.embLN.Forward(e.ws, x).Clone()}
 }

@@ -35,11 +35,10 @@ package nn
 //     -0 sums differ — so the branch is load-bearing for bit-identity.)
 //
 // The reference kernels remain in tensor.go as the property-test oracle
-// (kernels_blocked_test.go proves bit-identity across shapes, zero patterns
-// and worker counts, exactly as kernels_ref_test.go does for the allocating
-// originals one tier further down). The Par wrappers in kernels_par.go route
-// through this tier, so every layer — serial or intra-op partitioned — runs
-// on blocked kernels with unchanged outputs.
+// (kernels_blocked_test.go proves bit-identity across shapes and zero
+// patterns, exactly as kernels_ref_test.go does for the allocating originals
+// one tier further down). Every Linear layer calls this tier directly, so
+// the whole encoder runs on blocked kernels with unchanged outputs.
 
 // blockedJPanel is the cache-tile width in output columns. 256 float64s =
 // 2 KiB per b-row slice; a fused group streams four of them plus the output
@@ -57,20 +56,10 @@ const blockedK = 4
 func MatMulBlockedInto(a, b, out *Mat) {
 	checkMatMulShapes(a, b, out)
 	for i := 0; i < a.Rows; i++ {
-		matMulRowBlocked(a, b, out, i)
-	}
-}
-
-// matMulRowBlocked computes output row i of a·b with the blocked kernel —
-// the row unit shared by the serial kernel and the row-partitioned
-// ParMatMulInto (each output row is one worker's whole, in-order unit, so
-// partitioning preserves bit-identity exactly as it does for matMulRow).
-func matMulRowBlocked(a, b, out *Mat, i int) {
-	orow := out.Row(i)
-	clear(orow)
-	for j0 := 0; j0 < b.Cols; j0 += blockedJPanel {
-		j1 := min(j0+blockedJPanel, b.Cols)
-		matMulPanelRow(a, b, out, i, j0, j1)
+		clear(out.Row(i))
+		for j0 := 0; j0 < b.Cols; j0 += blockedJPanel {
+			matMulPanelRow(a, b, out, i, j0, min(j0+blockedJPanel, b.Cols))
+		}
 	}
 }
 
@@ -138,34 +127,28 @@ func axpy(orow []float64, v float64, brow []float64) {
 func MatMulTBlockedInto(a, b, out *Mat) {
 	checkMatMulTShapes(a, b, out)
 	for i := 0; i < a.Rows; i++ {
-		matMulTRowBlocked(a, b, out, i)
-	}
-}
-
-// matMulTRowBlocked computes output row i of a·bᵀ with the blocked kernel —
-// the row unit shared by the serial kernel and ParMatMulTInto.
-func matMulTRowBlocked(a, b, out *Mat, i int) {
-	arow := a.Row(i)
-	orow := out.Row(i)
-	j := 0
-	for ; j+blockedK <= b.Rows; j += blockedK {
-		b0, b1, b2, b3 := b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3)
-		var s0, s1, s2, s3 float64
-		for k, av := range arow {
-			s0 += av * b0[k]
-			s1 += av * b1[k]
-			s2 += av * b2[k]
-			s3 += av * b3[k]
+		arow := a.Row(i)
+		orow := out.Row(i)
+		j := 0
+		for ; j+blockedK <= b.Rows; j += blockedK {
+			b0, b1, b2, b3 := b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3)
+			var s0, s1, s2, s3 float64
+			for k, av := range arow {
+				s0 += av * b0[k]
+				s1 += av * b1[k]
+				s2 += av * b2[k]
+				s3 += av * b3[k]
+			}
+			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
 		}
-		orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
-	}
-	for ; j < b.Rows; j++ {
-		brow := b.Row(j)
-		s := 0.0
-		for k := range arow {
-			s += arow[k] * brow[k]
+		for ; j < b.Rows; j++ {
+			brow := b.Row(j)
+			s := 0.0
+			for k := range arow {
+				s += arow[k] * brow[k]
+			}
+			orow[j] = s
 		}
-		orow[j] = s
 	}
 }
 

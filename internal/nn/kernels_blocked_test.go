@@ -92,40 +92,6 @@ func TestBlockedKernelsSpecialValues(t *testing.T) {
 	assertBitEqual(t, "TMatMulBlockedInto/special", out, want)
 }
 
-// TestBlockedKernelsMatchSerial sweeps the Par wrappers across intra-op worker
-// counts and row thresholds: the row-partitioned blocked kernels must be
-// bit-identical to the serial blocked kernels (and therefore to the reference
-// kernels) for every configuration.
-func TestBlockedKernelsMatchSerial(t *testing.T) {
-	t.Cleanup(func() { SetIntraOp(1, 0) })
-	rng := rand.New(rand.NewSource(73))
-	shapes := [][3]int{{1, 5, 4}, {7, 9, 11}, {33, 13, 37}, {96, 32, 128}}
-	for _, sh := range shapes {
-		m, k, n := sh[0], sh[1], sh[2]
-		a := randMatZeros(rng, m, k, 0.3)
-		b := randMatZeros(rng, k, n, 0.3)
-		bt := randMatZeros(rng, n, k, 0.3)
-
-		SetIntraOp(1, 0)
-		want := NewMat(m, n)
-		ParMatMulInto(a, b, want)
-		wantT := NewMat(m, n)
-		ParMatMulTInto(a, bt, wantT)
-
-		for _, workers := range []int{2, 3, 4, 7} {
-			for _, minRows := range []int{1, 2, m, m + 1} {
-				SetIntraOp(workers, minRows)
-				out := dirty(rng, m, n)
-				ParMatMulInto(a, b, out)
-				assertBitEqual(t, "ParMatMulInto(blocked)", out, want)
-				out = dirty(rng, m, n)
-				ParMatMulTInto(a, bt, out)
-				assertBitEqual(t, "ParMatMulTInto(blocked)", out, wantT)
-			}
-		}
-	}
-}
-
 // TestBlockedKernelsZeroAllocs pins the blocked kernels to zero allocations:
 // they write into caller storage and keep all blocking state in registers and
 // stack arrays, so the warmed-step 0 allocs/op contract survives the re-route

@@ -69,7 +69,6 @@ func (e *Encoder) forwardPrefixed(pcs []*PrefixCache, sufTokens, sufSegments [][
 	}
 	e.ws.Reset()
 	e.tokens, e.segments = nil, nil // poison Backward: inference only
-	e.batchTrain = false            // and BatchedBackward: the sublayer caches are not populated
 	x := e.ws.Get(total, d)
 	if sufTotal > 0 {
 		// Embed every suffix into one packed matrix and LayerNorm it in one

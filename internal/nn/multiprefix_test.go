@@ -30,55 +30,51 @@ func multiPrefixFixture(enc *Encoder, rng *rand.Rand, n int) []*PrefixCache {
 // cross-request packed pass against per-sequence ForwardWithPrefix calls:
 // random batches mix sequences from several distinct prefix caches (including
 // consecutive repeats of the same cache, as the rank batcher produces, and
-// empty suffixes) over intra-op worker counts. Bit-identical hidden windows
-// and head readouts are required.
+// empty suffixes). Bit-identical hidden windows and head readouts are
+// required.
 func TestBatchedForwardMultiPrefixMatchesPerSequence(t *testing.T) {
-	t.Cleanup(func() { SetIntraOp(1, 0) })
 	rng := rand.New(rand.NewSource(54))
 	enc, head := batchedTestEncoder(50)
 	caches := multiPrefixFixture(enc, rng, 3)
-	for _, workers := range []int{1, 2, 3} {
-		SetIntraOp(workers, 8)
-		for _, batch := range []int{1, 2, 5, 8} {
-			for trial := 0; trial < 4; trial++ {
-				pcs := make([]*PrefixCache, batch)
-				sufs := make([][]int, batch)
-				sufSegs := make([][]int, batch)
-				masks := make([][]bool, batch)
-				for b := range sufs {
-					if b > 0 && rng.Intn(2) == 0 {
-						pcs[b] = pcs[b-1] // a lineage contributes a run of facts
-					} else {
-						pcs[b] = caches[rng.Intn(len(caches))]
-					}
-					p := pcs[b].Len()
-					n := rng.Intn(enc.Cfg.MaxSeqLen - p + 1) // 0 = prefix-only sequence
-					sufs[b] = make([]int, n)
-					sufSegs[b] = make([]int, n)
-					for i := 0; i < n; i++ {
-						sufs[b][i] = rng.Intn(enc.Cfg.VocabSize)
-						sufSegs[b][i] = 2
-					}
-					masks[b] = make([]bool, p+n)
-					for i := range masks[b] {
-						masks[b][i] = true
-					}
+	for _, batch := range []int{1, 2, 5, 8} {
+		for trial := 0; trial < 4; trial++ {
+			pcs := make([]*PrefixCache, batch)
+			sufs := make([][]int, batch)
+			sufSegs := make([][]int, batch)
+			masks := make([][]bool, batch)
+			for b := range sufs {
+				if b > 0 && rng.Intn(2) == 0 {
+					pcs[b] = pcs[b-1] // a lineage contributes a run of facts
+				} else {
+					pcs[b] = caches[rng.Intn(len(caches))]
 				}
-				want := make([]*Mat, batch)
-				wantPred := make([]float64, batch)
-				for b := range sufs {
-					h := enc.ForwardWithPrefix(pcs[b], sufs[b], sufSegs[b], masks[b])
-					wantPred[b] = head.Forward(h)
-					want[b] = h.Clone()
+				p := pcs[b].Len()
+				n := rng.Intn(enc.Cfg.MaxSeqLen - p + 1) // 0 = prefix-only sequence
+				sufs[b] = make([]int, n)
+				sufSegs[b] = make([]int, n)
+				for i := 0; i < n; i++ {
+					sufs[b][i] = rng.Intn(enc.Cfg.VocabSize)
+					sufSegs[b][i] = 2
 				}
-				packed, offs := enc.BatchedForwardMultiPrefix(pcs, sufs, sufSegs, masks)
-				for b := range sufs {
-					assertWindowBitEqual(t, "BatchedForwardMultiPrefix", b, packed, offs[b], want[b])
-					got := head.ForwardAt(packed, offs[b])
-					if math.Float64bits(got) != math.Float64bits(wantPred[b]) {
-						t.Fatalf("workers=%d batch=%d seq %d: head %v vs reference %v",
-							workers, batch, b, got, wantPred[b])
-					}
+				masks[b] = make([]bool, p+n)
+				for i := range masks[b] {
+					masks[b][i] = true
+				}
+			}
+			want := make([]*Mat, batch)
+			wantPred := make([]float64, batch)
+			for b := range sufs {
+				h := enc.ForwardWithPrefix(pcs[b], sufs[b], sufSegs[b], masks[b])
+				wantPred[b] = head.Forward(h)
+				want[b] = h.Clone()
+			}
+			packed, offs := enc.BatchedForwardMultiPrefix(pcs, sufs, sufSegs, masks)
+			for b := range sufs {
+				assertWindowBitEqual(t, "BatchedForwardMultiPrefix", b, packed, offs[b], want[b])
+				got := head.ForwardAt(packed, offs[b])
+				if math.Float64bits(got) != math.Float64bits(wantPred[b]) {
+					t.Fatalf("batch=%d seq %d: head %v vs reference %v",
+						batch, b, got, wantPred[b])
 				}
 			}
 		}

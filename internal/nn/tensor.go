@@ -54,11 +54,21 @@ func (m *Mat) Clone() *Mat {
 // MatMulInto computes out = a·b, overwriting out entirely. out must be
 // a.Rows×b.Cols and must not alias a or b. Rows with zero entries in a are
 // skipped exactly like the original allocating kernel, so the accumulation
-// order (k-major per output row) is unchanged.
+// order (k-major per output row) is unchanged. Rows are independent, so
+// clearing row-by-row instead of all at once is bit-identical.
 func MatMulInto(a, b, out *Mat) {
 	checkMatMulShapes(a, b, out)
 	for i := 0; i < a.Rows; i++ {
-		matMulRow(a, b, out, i)
+		orow := out.Row(i)
+		clear(orow)
+		for k, av := range a.Row(i) {
+			if av == 0 {
+				continue
+			}
+			for j, bv := range b.Row(k) {
+				orow[j] += av * bv
+			}
+		}
 	}
 }
 
@@ -71,31 +81,21 @@ func checkMatMulShapes(a, b, out *Mat) {
 	}
 }
 
-// matMulRow computes output row i of a·b: clear then k-order accumulation,
-// exactly the original kernel's per-row work (rows are independent, so
-// clearing row-by-row instead of all at once is bit-identical). Shared by the
-// serial kernel and the row-partitioned ParMatMulInto.
-func matMulRow(a, b, out *Mat, i int) {
-	arow := a.Row(i)
-	orow := out.Row(i)
-	clear(orow)
-	for k, av := range arow {
-		if av == 0 {
-			continue
-		}
-		brow := b.Row(k)
-		for j, bv := range brow {
-			orow[j] += av * bv
-		}
-	}
-}
-
 // MatMulTInto computes out = a·bᵀ, overwriting out entirely. out must be
 // a.Rows×b.Rows and must not alias a or b.
 func MatMulTInto(a, b, out *Mat) {
 	checkMatMulTShapes(a, b, out)
 	for i := 0; i < a.Rows; i++ {
-		matMulTRow(a, b, out, i)
+		arow := a.Row(i)
+		orow := out.Row(i)
+		for j := 0; j < b.Rows; j++ {
+			brow := b.Row(j)
+			s := 0.0
+			for k := range arow {
+				s += arow[k] * brow[k]
+			}
+			orow[j] = s
+		}
 	}
 }
 
@@ -105,21 +105,6 @@ func checkMatMulTShapes(a, b, out *Mat) {
 	}
 	if out.Rows != a.Rows || out.Cols != b.Rows {
 		panic(fmt.Sprintf("nn: matmulT out shape %dx%d, want %dx%d", out.Rows, out.Cols, a.Rows, b.Rows))
-	}
-}
-
-// matMulTRow computes output row i of a·bᵀ; shared by the serial kernel and
-// the row-partitioned ParMatMulTInto.
-func matMulTRow(a, b, out *Mat, i int) {
-	arow := a.Row(i)
-	orow := out.Row(i)
-	for j := 0; j < b.Rows; j++ {
-		brow := b.Row(j)
-		s := 0.0
-		for k := range arow {
-			s += arow[k] * brow[k]
-		}
-		orow[j] = s
 	}
 }
 

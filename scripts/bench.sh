@@ -3,8 +3,8 @@
 # keyed bench matrix: every BENCH file embeds a "host" fingerprint (machine
 # key, CPU model, core count, GOOS/GOARCH, go version) so numbers from
 # different machines never get compared as if they were one series. The axes
-# are workers × rank-batch × intra-op; axes that need multiple cores are
-# skipped with an explicit marker on single-core hosts.
+# are workers × rank-batch; axes that need multiple cores are skipped with an
+# explicit marker on single-core hosts.
 #
 #   BENCH_kernels.json  — single-worker kernel/encoding performance: the
 #       end-to-end ranking benchmark through the pre-optimization reference
@@ -18,19 +18,9 @@
 #       speedup.
 #
 #   BENCH_batch.json    — end-to-end ranking through the per-fact prefix path
-#       vs the packed batched path (RankBatch chunks + intra-op GEMM
-#       parallelism). Outputs are bit-identical (TestRankOnBatchedGolden);
-#       the batched win comes from fanning large packed GEMMs across the
-#       intra-op pool, so on a single-core machine the comparison is skipped
-#       with an explicit marker, like BENCH_parallel.json.
-#
-#   BENCH_train.json    — end-to-end training (pretrain + finetune, short
-#       schedule) through the replica-per-sample path vs the packed batched
-#       training path (TrainBatch chunks + intra-op GEMM parallelism), at
-#       workers=1 and workers=N. Trained weights are bit-identical either way
-#       (TestTrainBatchedParity); like BENCH_batch.json the packed win needs
-#       the intra-op pool, so on a single-core machine the comparison is
-#       skipped with an explicit marker.
+#       vs the packed batched path (RankBatch chunks, one GEMM per projection
+#       per chunk). Outputs are bit-identical (TestRankOnBatchedGolden). Both
+#       paths run on one core, so the comparison runs on every host.
 #
 #   BENCH_parallel.json — wall-clock effect of data-parallelism on the two
 #       heaviest benchmarks at workers=1 vs workers=N (default: one per CPU;
@@ -151,102 +141,38 @@ echo "wrote $KOUT"
 
 BOUT=BENCH_batch.json
 
-if [ "$CORES" -le 1 ] || [ "$N" -le 1 ]; then
-    echo "== batched ranking benchmark: skipped (cores=$CORES, N=$N) =="
-    cat > "$BOUT" <<EOF
-{
-  "generated_utc": "$(date -u +%Y-%m-%dT%H:%M:%SZ)",
-  "host": $HOST_JSON,
-  "cores": $CORES,
-  "skipped": true,
-  "note": "Batched-vs-prefix comparison skipped: the batched path's advantage comes from fanning large packed GEMMs across the intra-op worker pool, so on a single-core machine (or N<=1) the measurement would be bookkeeping noise, not speedup. Outputs are bit-identical either way (TestRankOnBatchedGolden). Re-run scripts/bench.sh on a multi-core machine to populate it."
-}
-EOF
-    echo "wrote $BOUT (skipped marker)"
-else
-    echo "== batched ranking benchmark: per-fact prefix vs packed batch (intra-op workers=$N) =="
-    echo "-- BenchmarkRankLineagePrefix (baseline: per-fact prefix reuse)"
-    bprefix_ns=$(bench_ns ./internal/core BenchmarkRankLineagePrefix 5x)
-    echo "   ${bprefix_ns} ns/op"
-    echo "-- BenchmarkRankLineageBatched (RankBatch=8, REPRO_WORKERS=$N)"
-    # The batched run also records a run manifest (nn.batch.* counters and
-    # batch-size histogram included) next to the BENCH file, via the
-    # TestMain/obs.StartFromEnv hook in internal/core.
-    batched_ns=$(REPRO_WORKERS=$N REPRO_METRICS_OUT="$PWD/BENCH_batch.manifest.json" REPRO_TRACE=1 \
-        bench_ns ./internal/core BenchmarkRankLineageBatched 5x)
-    echo "   ${batched_ns} ns/op"
-    echo "   wrote BENCH_batch.manifest.json"
-    bspeedup=$(awk -v a="$bprefix_ns" -v b="$batched_ns" 'BEGIN { printf "%.2f", a/b }')
-    echo "   speedup ${bspeedup}x"
+echo "== batched ranking benchmark: per-fact prefix vs packed batch =="
+echo "-- BenchmarkRankLineagePrefix (baseline: per-fact prefix reuse)"
+bprefix_ns=$(bench_ns ./internal/core BenchmarkRankLineagePrefix 5x)
+echo "   ${bprefix_ns} ns/op"
+echo "-- BenchmarkRankLineageBatched (RankBatch=8)"
+# The batched run also records a run manifest (nn.mbatch.* counters and
+# batch-size histogram included) next to the BENCH file, via the
+# TestMain/obs.StartFromEnv hook in internal/core.
+batched_ns=$(REPRO_METRICS_OUT="$PWD/BENCH_batch.manifest.json" REPRO_TRACE=1 \
+    bench_ns ./internal/core BenchmarkRankLineageBatched 5x)
+echo "   ${batched_ns} ns/op"
+echo "   wrote BENCH_batch.manifest.json"
+bspeedup=$(awk -v a="$bprefix_ns" -v b="$batched_ns" 'BEGIN { printf "%.2f", a/b }')
+echo "   speedup ${bspeedup}x"
 
-    cat > "$BOUT" <<EOF
+cat > "$BOUT" <<EOF
 {
   "generated_utc": "$(date -u +%Y-%m-%dT%H:%M:%SZ)",
   "host": $HOST_JSON,
   "cores": $CORES,
-  "skipped": false,
-  "note": "Ranking scores are bit-identical across paths, chunk sizes and worker counts (TestRankOnBatchedGolden); the ratio is pure packing + intra-op scheduling speedup.",
+  "note": "Ranking scores are bit-identical across paths and chunk sizes (TestRankOnBatchedGolden); the ratio is the packing effect on one core.",
   "end_to_end_ranking": {
     "baseline": "BenchmarkRankLineagePrefix",
     "optimized": "BenchmarkRankLineageBatched",
     "rank_batch": 8,
-    "intra_op_workers": $N,
     "ns_per_op_prefix": $bprefix_ns,
     "ns_per_op_batched": $batched_ns,
     "speedup": $bspeedup
   }
 }
 EOF
-    echo "wrote $BOUT"
-fi
-
-# ------------------------------------------------------------------ train ----
-
-TOUT=BENCH_train.json
-
-if [ "$CORES" -le 1 ] || [ "$N" -le 1 ]; then
-    echo "== batched training benchmark: skipped (cores=$CORES, N=$N) =="
-    cat > "$TOUT" <<EOF
-{
-  "generated_utc": "$(date -u +%Y-%m-%dT%H:%M:%SZ)",
-  "host": $HOST_JSON,
-  "cores": $CORES,
-  "skipped": true,
-  "note": "Replica-vs-packed training comparison skipped: the packed path's advantage comes from fanning layer-wide forward/backward GEMMs across the intra-op worker pool, so on a single-core machine (or N<=1) the measurement would be bookkeeping noise, not speedup. Trained weights are bit-identical either way (TestTrainBatchedParity). Re-run scripts/bench.sh on a multi-core machine to populate it."
-}
-EOF
-    echo "wrote $TOUT (skipped marker)"
-else
-    echo "== batched training benchmark: replica-per-sample vs packed batch =="
-    trows=""
-    for w in 1 "$N"; do
-        echo "-- BenchmarkTrainReplica (workers=$w)"
-        rep_ns=$(REPRO_WORKERS=$w bench_ns ./internal/core BenchmarkTrainReplica 3x)
-        echo "   ${rep_ns} ns/op"
-        echo "-- BenchmarkTrainBatched (TrainBatch=8, workers=$w)"
-        pack_ns=$(REPRO_WORKERS=$w bench_ns ./internal/core BenchmarkTrainBatched 3x)
-        echo "   ${pack_ns} ns/op"
-        tspeedup=$(awk -v a="$rep_ns" -v b="$pack_ns" 'BEGIN { printf "%.2f", a/b }')
-        echo "   speedup ${tspeedup}x"
-        trows="$trows    {\"workers\": $w, \"ns_per_op_replica\": $rep_ns, \"ns_per_op_batched\": $pack_ns, \"speedup\": $tspeedup},\n"
-    done
-    trows=$(printf '%b' "$trows" | sed '$ s/,$//')
-
-    cat > "$TOUT" <<EOF
-{
-  "generated_utc": "$(date -u +%Y-%m-%dT%H:%M:%SZ)",
-  "host": $HOST_JSON,
-  "cores": $CORES,
-  "skipped": false,
-  "train_batch": 8,
-  "note": "Same seed and schedule; trained weights, dev curves and TrainReport are bit-identical across paths, batch sizes and worker counts (TestTrainBatchedParity), so the ratio is pure packing + intra-op scheduling speedup.",
-  "training": [
-$trows
-  ]
-}
-EOF
-    echo "wrote $TOUT"
-fi
+echo "wrote $BOUT"
 
 # ------------------------------------------------------------------ serve ----
 # The serving axis measures the production daemon end to end: the load
@@ -348,7 +274,7 @@ cat > "$SVOUT" <<EOF
   "clients": $SERVE_CLIENTS,
   "requests": $SERVE_REQS,
   "trials": $SERVE_TRIALS,
-  "note": "Closed-loop loadgen (clients issue back-to-back) against cmd/serve over real TCP; every cell is the median of trials runs (per-trial rps kept in throughput_rps_trials; report is the last trial's full LoadReport). Latency quantiles (p50/p99/p999) over 200s only, 429 rejections counted and timed separately, never folded into the success percentiles. Ranking scores are bit-identical across batching configs, pack modes, worker counts and windows (TestServeParitySequential). Two distinct headline ratios at workers=1: batching_throughput_speedup (max-batch 8 unpacked vs max-batch 1) isolates coalescing, whose win comes from fanning batches across replicas, so ~1.0 is the expected honest result with one worker; packed_throughput_speedup (max-batch 8 packed vs unpacked, both one worker) isolates cross-request packing, which merges the per-fact GEMM chunks of coalesced requests into larger multi-prefix chunks — fewer, bigger GEMMs on the same core. Measured honestly on this host packing is compute-parity (~1.0x), not a win: with dim-16 models on the serial inline kernels a GEMM's cost is linear in its row count, so merging chunks only saves per-pass bookkeeping (the offline pair BenchmarkRankManyBatched vs BenchmarkRankLineageBatched agrees: ~equal ns/op, fewer allocs/op for the packed path). The packing win arrives when the larger packed chunks feed the intra-op GEMM pool (REPRO_WORKERS > 1) or wider models — re-run scripts/bench.sh on a multi-core machine to populate that axis. The multi-worker sub-axis is skipped on single-core hosts.",
+  "note": "Closed-loop loadgen (clients issue back-to-back) against cmd/serve over real TCP; every cell is the median of trials runs (per-trial rps kept in throughput_rps_trials; report is the last trial's full LoadReport). Latency quantiles (p50/p99/p999) over 200s only, 429 rejections counted and timed separately, never folded into the success percentiles. Ranking scores are bit-identical across batching configs, pack modes, worker counts and windows (TestServeParitySequential). Two distinct headline ratios at workers=1: batching_throughput_speedup (max-batch 8 unpacked vs max-batch 1) isolates coalescing, whose win comes from fanning batches across replicas, so ~1.0 is the expected honest result with one worker; packed_throughput_speedup (max-batch 8 packed vs unpacked, both one worker) isolates cross-request packing, which merges the per-fact GEMM chunks of coalesced requests into larger multi-prefix chunks — fewer, bigger GEMMs on the same core. Measured honestly on this host packing is compute-parity (~1.0x), not a win: with dim-16 models on the serial inline kernels a GEMM's cost is linear in its row count, so merging chunks only saves per-pass bookkeeping (the offline pair BenchmarkRankManyBatched vs BenchmarkRankLineageBatched agrees: ~equal ns/op, fewer allocs/op for the packed path). Larger packed chunks could only pay off with wider models. The multi-worker sub-axis is skipped on single-core hosts.",
   "batching_throughput_speedup": $sv_speedup,
   "packed_throughput_speedup": $pack_speedup,
   "matrix": [

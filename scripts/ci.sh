@@ -44,15 +44,6 @@ echo "== go test -race (concurrency packages) =="
 # dataset worker-determinism test both fan labeling out across goroutines.
 go test -race ./internal/obs ./internal/parallel ./internal/dataset ./internal/nn ./internal/core ./internal/experiments ./internal/serve ./internal/shapley/...
 
-echo "== go test -race (batched + intra-op parallel paths) =="
-# The batched parity tests (inference and training — the 'Batched' pattern
-# matches TestBatchedTrainStepMatchesReplicaPath and TestTrainBatchedParity)
-# sweep nn.SetIntraOp worker counts, so this run drives the row-partitioned
-# GEMM fan-out and the packed batched passes under the race detector
-# explicitly.
-go test -race ./internal/nn -run 'Batched|MultiPrefix|ParKernels|ForEachRows'
-go test -race ./internal/core -run 'Batched|RankMany'
-
 echo "== go test -race (request observability: traces, ring, drift, exposition) =="
 # The trace context is mutated from both sides of the admission queue (handler
 # and dispatch goroutines), the trace ring and drift monitors are written by
@@ -68,11 +59,6 @@ echo "== go test -race (packed serve dispatch + admin auth + TLS) =="
 # the TLS round trip and the admin auth gate.
 go test -race ./internal/serve -run 'ServeParitySequential|ServeAdminAuth|ServeTLS'
 
-echo "== go test -race (blocked kernels) =="
-# The blocked-kernel serial-parity test sweeps intra-op worker counts over the
-# row-partitioned blocked GEMMs explicitly under the race detector.
-go test -race ./internal/nn -run 'Blocked'
-
 echo "== allocation regression gates =="
 # The warmed encoder step must run at 0 allocs/op. These tests self-skip under
 # the race detector, so they run here without -race.
@@ -81,10 +67,6 @@ gate ./internal/nn TestEncoderStepZeroAllocs
 # request trace context attached to the scoring context, so observability
 # (metrics or tracing) can never silently reintroduce per-step allocations.
 gate ./internal/nn TestEncoderStepZeroAllocsInstrumented
-# A warmed packed inference pass (batched forward + per-sequence head readouts).
-gate ./internal/nn TestBatchedStepZeroAllocs
-# A warmed packed train step (batched forward + head fills + batched backward).
-gate ./internal/nn TestBatchedTrainStepZeroAllocs
 # The blocked kernels every layer routes through.
 gate ./internal/nn TestBlockedKernelsZeroAllocs
 # The prefix-sharing multi-prefix pass, which every batched ranking call and
@@ -112,19 +94,18 @@ echo "== end-to-end run manifest =="
 manifest_dir=$(mktemp -d)
 trap 'rm -rf "$manifest_dir"' EXIT
 # -rank-batch 8 routes evaluation ranking through the packed multi-prefix
-# encoder path and -train-batch 8 routes the (small, one-epoch) pre-training
-# and fine-tuning schedules through the packed batched training path, so the
-# manifest must show live nn.mbatch.*, nn.batch.* and core.pretrain.* metrics
-# — asserted below via REPRO_MANIFEST_EXPECT_METRICS. -labeler mc labels the corpus with
-# the Monte Carlo sampling engine, so live shapley.approx.* metrics must show
-# up in the same manifest.
+# encoder path and -pepochs 1 runs a (small, one-epoch) pre-training stage, so
+# the manifest must show live nn.mbatch.* and core.pretrain.* metrics —
+# asserted below via REPRO_MANIFEST_EXPECT_METRICS. -labeler mc labels the
+# corpus with the Monte Carlo sampling engine, so live shapley.approx.*
+# metrics must show up in the same manifest.
 go run ./cmd/tune -queries 16 -cases 2 -epochs 1 -samples 40 \
     -pepochs 1 -ppairs 16 \
     -labeler mc -label-samples 64 \
-    -dim 8 -layers 1 -workers 2 -rank-batch 8 -train-batch 8 \
+    -dim 8 -layers 1 -workers 2 -rank-batch 8 \
     -metrics-out "$manifest_dir/run.json" -trace -quiet 2>/dev/null
 REPRO_MANIFEST="$manifest_dir/run.json" \
-    REPRO_MANIFEST_EXPECT_METRICS="nn.batch.,nn.mbatch.,core.rank.,core.pretrain.,shapley.approx." \
+    REPRO_MANIFEST_EXPECT_METRICS="nn.mbatch.,core.rank.,core.pretrain.,shapley.approx." \
     go test ./internal/obs -run '^TestValidateManifestFile$' -v | tail -n 3
 # Metric-naming lint over the live registry snapshot the run actually
 # produced: every registered name must follow the repo convention and survive
